@@ -16,7 +16,6 @@
 // RenderService workers rely on.
 #pragma once
 
-#include <memory>
 #include <optional>
 #include <string>
 
@@ -42,11 +41,6 @@ struct Capabilities {
   /// BackendOptions::rasterizer is honored; backends that derive their own
   /// operating point (e.g. the GSCore-matched FP16 sizing) reject it.
   bool accepts_external_rasterizer_config = false;
-  /// Steps 1-3 are separately invokable through stage_preprocess() /
-  /// stage_sort() / stage_raster(), so a frame scheduler can overlap stage
-  /// N of one frame with stage N-1 of the next. Stage execution is
-  /// bit-identical to render() by contract.
-  bool supports_stage_pipeline = false;
   /// Step 3 is a modeled hardware rasterizer; FrameOutput::hw is populated.
   bool is_hardware_model = false;
   /// Datapath precision of the Step-3 executor.
@@ -65,12 +59,6 @@ struct FrameOptions {
   /// Steps 1-2 settings for every backend; num_threads additionally drives
   /// the Step-3 tile fan-out where supports_raster_threads is set.
   pipeline::RendererConfig pipeline;
-  /// Camera-independent per-scene state (pipeline::precompute_scene),
-  /// shared across every frame of the same scene. When set it must have
-  /// been built from the scene render() is invoked with. Backends whose
-  /// Step 1 runs in host software substitute the precomputed values for the
-  /// per-frame computation (bit-identical output); others may ignore it.
-  std::shared_ptr<const pipeline::ScenePrecompute> scene_precompute;
 };
 
 /// Modeled deployment metrics, present when is_hardware_model is set.
@@ -110,32 +98,31 @@ class RenderBackend {
   virtual Capabilities capabilities() const = 0;
 
   /// Renders one frame. Deterministic in (scene, camera, options): images
-  /// are bit-identical no matter which thread or worker runs the call.
+  /// are bit-identical no matter which thread or worker runs the call. The
+  /// default is exactly the stage composition
+  ///   stage_preprocess -> stage_sort -> stage_raster,
+  /// so a caller timing the stages one at a time sees the same frame.
   virtual FrameOutput render(const scene::GaussianScene& scene,
                              const scene::Camera& camera,
-                             const FrameOptions& options) const = 0;
+                             const FrameOptions& options) const;
 
-  // Stage-pipelined execution seam, valid when
-  // capabilities().supports_stage_pipeline is set. A frame is exactly
-  //   stage_preprocess -> stage_sort -> stage_raster,
-  // each call free to run on a different thread (the frame state travels by
-  // value through the scheduler's queues), and the composition is
-  // bit-identical to render() by contract. The default implementations
-  // throw gaurast::Error naming the backend.
-
-  /// Step 1: scene -> screen-space splats (plus the background image whose
-  /// dimensions carry the tile grid downstream).
+  /// Step 1: scene -> screen-space splats, with the tile grid seeded as the
+  /// frame's dimension carrier. Defaults to the host-software Step 1 every
+  /// built-in backend shares (the paper keeps it on the CUDA cores).
   virtual pipeline::FrameResult stage_preprocess(
       const scene::GaussianScene& scene, const scene::Camera& camera,
       const FrameOptions& options) const;
 
-  /// Step 2: frame.splats -> depth-sorted frame.workload.
+  /// Step 2: frame.splats -> depth-sorted frame.workload. Defaults to the
+  /// host-software Step 2, like stage_preprocess.
   virtual void stage_sort(pipeline::FrameResult& frame,
                           const FrameOptions& options) const;
 
   /// Step 3: rasterizes the sorted workload, consuming the frame state and
   /// returning the finished output (hardware models attach their modeled
-  /// metrics here, exactly as render() does).
+  /// metrics here). This is where backends differ; the default throws
+  /// gaurast::Error naming the backend, so a backend that overrides only
+  /// render() has no separately invokable Step 3.
   virtual FrameOutput stage_raster(pipeline::FrameResult frame,
                                    const FrameOptions& options) const;
 

@@ -26,14 +26,6 @@ class SoftwareBackend : public RenderBackend {
   std::string name() const override { return "sw"; }
   std::string describe() const override;
   Capabilities capabilities() const override;
-  FrameOutput render(const scene::GaussianScene& scene,
-                     const scene::Camera& camera,
-                     const FrameOptions& options) const override;
-  pipeline::FrameResult stage_preprocess(
-      const scene::GaussianScene& scene, const scene::Camera& camera,
-      const FrameOptions& options) const override;
-  void stage_sort(pipeline::FrameResult& frame,
-                  const FrameOptions& options) const override;
   FrameOutput stage_raster(pipeline::FrameResult frame,
                            const FrameOptions& options) const override;
 };
@@ -55,18 +47,9 @@ class GauRastBackend : public RenderBackend {
   std::string name() const override { return spec_.name; }
   std::string describe() const override;
   Capabilities capabilities() const override;
-  FrameOutput render(const scene::GaussianScene& scene,
-                     const scene::Camera& camera,
-                     const FrameOptions& options) const override;
-  // Stages 1-2 run in host software exactly as the software backend's do;
-  // stage_raster hands the sorted workload to the enhanced-rasterizer model
-  // (GauRastDevice::raster_prepared), so the CUDA-collaborative split maps
-  // directly onto the stage pipeline.
-  pipeline::FrameResult stage_preprocess(
-      const scene::GaussianScene& scene, const scene::Camera& camera,
-      const FrameOptions& options) const override;
-  void stage_sort(pipeline::FrameResult& frame,
-                  const FrameOptions& options) const override;
+  // Stages 1-2 are the shared host-software defaults; stage_raster hands
+  // the sorted workload to the enhanced-rasterizer model
+  // (GauRastDevice::raster_prepared) — the CUDA-collaborative split.
   FrameOutput stage_raster(pipeline::FrameResult frame,
                            const FrameOptions& options) const override;
   std::optional<core::RasterizerConfig> rasterizer_config() const override {

@@ -12,29 +12,11 @@ namespace {
 constexpr float kNearPlane = 0.2f;  // matches the reference implementation
 }
 
-ScenePrecompute precompute_scene(const scene::GaussianScene& scene,
-                                 float alpha_min) {
-  ScenePrecompute pre;
-  pre.cov3d.reserve(scene.size());
-  pre.raster_cutoff.reserve(scene.size());
-  pre.cutoff_alpha_min = alpha_min;
-  for (std::size_t i = 0; i < scene.size(); ++i) {
-    pre.cov3d.push_back(
-        covariance3d(scene.rotations()[i], scene.scales()[i]));
-    pre.raster_cutoff.push_back(
-        alpha_cutoff_power(alpha_min, scene.opacities()[i]));
-  }
-  return pre;
-}
-
 bool project_gaussian(const scene::GaussianScene& scene, std::size_t index,
-                      const scene::Camera& camera, Splat2D& out,
-                      const ScenePrecompute* precompute) {
+                      const scene::Camera& camera, Splat2D& out) {
   // Per-Gaussian contract checks: debug-only, like every other per-element
   // invariant on the hot path (callers loop this over the whole scene).
   GAURAST_DCHECK(index < scene.size());
-  GAURAST_DCHECK(precompute == nullptr ||
-                 precompute->cov3d.size() == scene.size());
   const Vec3f world = scene.positions()[index];
   const Vec3f view = camera.to_view(world);
   if (view.z <= kNearPlane) return false;
@@ -46,9 +28,7 @@ bool project_gaussian(const scene::GaussianScene& scene, std::size_t index,
   if (std::abs(view.x) > lim_x || std::abs(view.y) > lim_y) return false;
 
   const Mat3f cov3d =
-      precompute != nullptr
-          ? precompute->cov3d[index]
-          : covariance3d(scene.rotations()[index], scene.scales()[index]);
+      covariance3d(scene.rotations()[index], scene.scales()[index]);
   const Cov2 cov2d = project_covariance(
       cov3d, view, camera.focal_x(), camera.focal_y(), camera.tan_half_fov_x(),
       camera.tan_half_fov_y(), camera.view_rotation());
@@ -69,8 +49,7 @@ bool project_gaussian(const scene::GaussianScene& scene, std::size_t index,
 
 std::vector<Splat2D> preprocess(const scene::GaussianScene& scene,
                                 const scene::Camera& camera,
-                                PreprocessStats* stats,
-                                const ScenePrecompute* precompute) {
+                                PreprocessStats* stats) {
   std::vector<Splat2D> splats;
   splats.reserve(scene.size());
   PreprocessStats local;
@@ -82,7 +61,7 @@ std::vector<Splat2D> preprocess(const scene::GaussianScene& scene,
       ++local.culled_frustum;
       continue;
     }
-    if (!project_gaussian(scene, i, camera, s, precompute)) {
+    if (!project_gaussian(scene, i, camera, s)) {
       // project_gaussian re-checks the frustum; failures here beyond the
       // near-plane test are degenerate covariances or off-screen centers.
       const float lim_x = 1.3f * camera.tan_half_fov_x() * view.z;

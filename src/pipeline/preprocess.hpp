@@ -34,46 +34,16 @@ struct PreprocessStats {
   std::uint64_t splats_out = 0;
 };
 
-/// Camera-independent per-scene state, shared across every frame of one
-/// scene: the 3D covariance of each Gaussian (rotation/scale never change
-/// between frames, so recomputing covariance3d per frame is pure waste when
-/// the same scene serves many cameras) and the fast raster kernel's
-/// exp()-skip cutoff (a pure function of opacity and the blend threshold).
-/// Built once by precompute_scene() and shared immutably across frames;
-/// rendering with a precompute is bit-identical to rendering without one —
-/// the same arithmetic runs, just earlier and once.
-struct ScenePrecompute {
-  std::vector<Mat3f> cov3d;  ///< one per scene Gaussian, in scene order
-  /// gsmath::alpha_cutoff_power(cutoff_alpha_min, opacity) per Gaussian;
-  /// consumers index it by Splat2D::source_id and must check that their
-  /// blend threshold matches cutoff_alpha_min (falling back to the inline
-  /// computation otherwise — never a wrong value, only a missed reuse).
-  std::vector<float> raster_cutoff;
-  float cutoff_alpha_min = 0.0f;
-};
-
-/// Computes the camera-independent per-scene state above; `alpha_min` is
-/// the blend threshold raster_cutoff is built for (BlendParams::alpha_min
-/// of the configuration that will render the scene). Deterministic in
-/// (scene, alpha_min).
-ScenePrecompute precompute_scene(const scene::GaussianScene& scene,
-                                 float alpha_min = 1.0f / 255.0f);
-
 /// Runs Step 1 for every Gaussian in the scene. Deterministic; splats retain
-/// scene order (the sort in Step 2 establishes depth order). `precompute`,
-/// when non-null, must have been built from `scene` and replaces the
-/// per-Gaussian covariance3d computation with a lookup (bit-identical
-/// output either way).
+/// scene order (the sort in Step 2 establishes depth order).
 std::vector<Splat2D> preprocess(const scene::GaussianScene& scene,
                                 const scene::Camera& camera,
-                                PreprocessStats* stats = nullptr,
-                                const ScenePrecompute* precompute = nullptr);
+                                PreprocessStats* stats = nullptr);
 
 /// Projects a single Gaussian; returns false if culled. Exposed for unit
 /// tests and for the GauRast CUDA-collaborative scheduler model, which keeps
-/// Step 1 on the (modeled) CUDA cores. `precompute` as in preprocess().
+/// Step 1 on the (modeled) CUDA cores.
 bool project_gaussian(const scene::GaussianScene& scene, std::size_t index,
-                      const scene::Camera& camera, Splat2D& out,
-                      const ScenePrecompute* precompute = nullptr);
+                      const scene::Camera& camera, Splat2D& out);
 
 }  // namespace gaurast::pipeline

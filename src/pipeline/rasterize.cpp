@@ -112,17 +112,15 @@ void raster_span_reference(const std::vector<Splat2D>& splats,
 
 Image rasterize(const std::vector<Splat2D>& splats, const TileWorkload& work,
                 const BlendParams& params, RasterStats* stats, int num_threads,
-                RasterKernel kernel, const ScenePrecompute* precompute) {
+                RasterKernel kernel) {
   Image image(work.grid.width, work.grid.height);
-  rasterize_into(image, splats, work, params, stats, num_threads, kernel,
-                 precompute);
+  rasterize_into(image, splats, work, params, stats, num_threads, kernel);
   return image;
 }
 
 void rasterize_into(Image& image, const std::vector<Splat2D>& splats,
                     const TileWorkload& work, const BlendParams& params,
-                    RasterStats* stats, int num_threads, RasterKernel kernel,
-                    const ScenePrecompute* precompute) {
+                    RasterStats* stats, int num_threads, RasterKernel kernel) {
   GAURAST_CHECK(num_threads >= 1);
   const TileGrid& grid = work.grid;
   GAURAST_CHECK(image.width() == grid.width && image.height() == grid.height);
@@ -131,19 +129,12 @@ void rasterize_into(Image& image, const std::vector<Splat2D>& splats,
 
   // The fast kernel's exp()-skip bound depends only on frame-constant
   // inputs (alpha_min, opacity), so compute it once per splat here rather
-  // than per duplicated tile instance during staging — or, when the caller
-  // supplies a matching per-scene precompute, gather the values it already
-  // holds (identical floats: same alpha_cutoff_power of the same inputs).
+  // than per duplicated tile instance during staging.
   std::vector<float> cutoffs;
   if (kernel == RasterKernel::kFast) {
-    const bool reuse = precompute != nullptr &&
-                       precompute->cutoff_alpha_min == params.alpha_min &&
-                       !precompute->raster_cutoff.empty();
     cutoffs.resize(splats.size());
     for (std::size_t i = 0; i < splats.size(); ++i) {
-      cutoffs[i] =
-          reuse ? precompute->raster_cutoff[splats[i].source_id]
-                : alpha_cutoff_power(params.alpha_min, splats[i].opacity);
+      cutoffs[i] = alpha_cutoff_power(params.alpha_min, splats[i].opacity);
     }
   }
   const auto span = [&](std::uint32_t begin, std::uint32_t end,

@@ -129,14 +129,10 @@ void raster_span_fast(const std::vector<Splat2D>& splats,
 /// splits them across host threads with bit-identical results (per-thread
 /// statistics are merged deterministically). `kernel` selects the Step-3
 /// software kernel; both produce bit-identical images and stats.
-/// `precompute` (nullable) supplies the per-scene raster cutoffs the fast
-/// kernel otherwise recomputes each frame; it is consulted only when its
-/// cutoff_alpha_min matches params.alpha_min, so passing it is always safe.
 Image rasterize(const std::vector<Splat2D>& splats, const TileWorkload& work,
                 const BlendParams& params, RasterStats* stats = nullptr,
                 int num_threads = 1,
-                RasterKernel kernel = RasterKernel::kReference,
-                const ScenePrecompute* precompute = nullptr);
+                RasterKernel kernel = RasterKernel::kReference);
 
 /// Allocation-free variant: rasterizes into `image`, which must already
 /// have the workload's grid dimensions. Every pixel is overwritten
@@ -147,7 +143,6 @@ Image rasterize(const std::vector<Splat2D>& splats, const TileWorkload& work,
 void rasterize_into(Image& image, const std::vector<Splat2D>& splats,
                     const TileWorkload& work, const BlendParams& params,
                     RasterStats* stats = nullptr, int num_threads = 1,
-                    RasterKernel kernel = RasterKernel::kReference,
-                    const ScenePrecompute* precompute = nullptr);
+                    RasterKernel kernel = RasterKernel::kReference);
 
 }  // namespace gaurast::pipeline

@@ -9,20 +9,17 @@ GaussianRenderer::GaussianRenderer(RendererConfig config)
   GAURAST_CHECK(config_.tile_size > 0 && config_.tile_size <= 64);
 }
 
-FrameResult GaussianRenderer::begin_frame(
-    const scene::GaussianScene& scene, const scene::Camera& camera,
-    const ScenePrecompute* precompute) const {
+FrameResult GaussianRenderer::begin_frame(const scene::GaussianScene& scene,
+                                          const scene::Camera& camera) const {
   FrameResult result;
   // Seed the tile grid now (it is the frame's dimension carrier for the
-  // later stages); the image itself is allocated by raster_frame, on the
-  // thread that will write it — under a stage pipeline that is a different
-  // worker, and a buffer allocated where it is filled avoids hauling
-  // untouched pages through the inter-stage queues.
+  // later stages); the image itself is allocated by raster_frame, so
+  // prepare() — whose Step 3 a hardware model may run instead — never pays
+  // for a buffer it does not fill.
   result.workload.grid.tile_size = config_.tile_size;
   result.workload.grid.width = camera.width();
   result.workload.grid.height = camera.height();
-  result.splats =
-      preprocess(scene, camera, &result.preprocess_stats, precompute);
+  result.splats = preprocess(scene, camera, &result.preprocess_stats);
   return result;
 }
 
@@ -34,8 +31,7 @@ void GaussianRenderer::sort_frame(FrameResult& frame) const {
                                config_.num_threads);
 }
 
-void GaussianRenderer::raster_frame(FrameResult& frame,
-                                    const ScenePrecompute* precompute) const {
+void GaussianRenderer::raster_frame(FrameResult& frame) const {
   const TileGrid& grid = frame.workload.grid;
   if (frame.image.width() != grid.width ||
       frame.image.height() != grid.height) {
@@ -45,22 +41,20 @@ void GaussianRenderer::raster_frame(FrameResult& frame,
   // or fresh buffer gives bit-identical output to rasterize().
   rasterize_into(frame.image, frame.splats, frame.workload, config_.blend,
                  config_.collect_stats ? &frame.raster_stats : nullptr,
-                 config_.num_threads, config_.kernel, precompute);
+                 config_.num_threads, config_.kernel);
 }
 
 FrameResult GaussianRenderer::prepare(const scene::GaussianScene& scene,
-                                      const scene::Camera& camera,
-                                      const ScenePrecompute* precompute) const {
-  FrameResult result = begin_frame(scene, camera, precompute);
+                                      const scene::Camera& camera) const {
+  FrameResult result = begin_frame(scene, camera);
   sort_frame(result);
   return result;
 }
 
 FrameResult GaussianRenderer::render(const scene::GaussianScene& scene,
-                                     const scene::Camera& camera,
-                                     const ScenePrecompute* precompute) const {
-  FrameResult result = prepare(scene, camera, precompute);
-  raster_frame(result, precompute);
+                                     const scene::Camera& camera) const {
+  FrameResult result = prepare(scene, camera);
+  raster_frame(result);
   return result;
 }
 

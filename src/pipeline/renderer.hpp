@@ -62,45 +62,36 @@ class GaussianRenderer {
  public:
   explicit GaussianRenderer(RendererConfig config = {});
 
-  /// Renders one frame through all three steps. `precompute`, when non-null,
-  /// must have been built from `scene` (pipeline::precompute_scene) and
-  /// skips the camera-independent part of Step 1; output is bit-identical
-  /// either way.
+  /// Renders one frame through all three steps.
   FrameResult render(const scene::GaussianScene& scene,
-                     const scene::Camera& camera,
-                     const ScenePrecompute* precompute = nullptr) const;
+                     const scene::Camera& camera) const;
 
   /// Steps 1 + 2 only (what the CUDA cores retain under GauRast
   /// scheduling). The result's image is not yet allocated — Step-3
   /// executors consume splats + workload (whose grid carries the frame
   /// dimensions) and produce the image themselves.
   FrameResult prepare(const scene::GaussianScene& scene,
-                      const scene::Camera& camera,
-                      const ScenePrecompute* precompute = nullptr) const;
+                      const scene::Camera& camera) const;
 
   // Per-stage entry points. A frame is exactly
   //   begin_frame -> sort_frame -> raster_frame,
-  // and prepare()/render() are compositions of them, so a stage-pipelined
-  // scheduler that runs each stage on a different worker produces
-  // bit-identical frames to the monolithic calls by construction.
+  // and prepare()/render() are compositions of them, so a caller that runs
+  // the stages one at a time (to time them, or to hand Step 3 to a
+  // hardware model) gets bit-identical frames by construction.
 
   /// Step 1 only: projects the scene's Gaussians into screen-space splats
   /// and seeds the tile grid (the frame's dimension carrier for the later
   /// stages).
   FrameResult begin_frame(const scene::GaussianScene& scene,
-                          const scene::Camera& camera,
-                          const ScenePrecompute* precompute = nullptr) const;
+                          const scene::Camera& camera) const;
 
   /// Step 2 only: builds the depth-sorted TileWorkload from frame.splats
   /// over the grid begin_frame seeded.
   void sort_frame(FrameResult& frame) const;
 
   /// Step 3 only: rasterizes the sorted workload into frame.image,
-  /// allocating it on the calling thread if not already grid-sized.
-  /// `precompute` supplies the fast kernel's per-scene raster cutoffs
-  /// (bit-identical output either way; see pipeline::rasterize).
-  void raster_frame(FrameResult& frame,
-                    const ScenePrecompute* precompute = nullptr) const;
+  /// allocating it if not already grid-sized.
+  void raster_frame(FrameResult& frame) const;
 
   const RendererConfig& config() const { return config_; }
 

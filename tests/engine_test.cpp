@@ -1,8 +1,9 @@
 // Tests for the engine backend API (src/engine): registry semantics
 // (register/create/list/duplicate/unknown-name diagnostics), the
-// capability contract of every built-in backend, and cross-backend
+// capability contract of every built-in backend, cross-backend
 // functional equivalence — sw and gaurast (both FP32) must produce
-// bit-identical images through the one RenderBackend interface.
+// bit-identical images through the one RenderBackend interface — and the
+// stage seam: stage_preprocess -> stage_sort -> stage_raster is render().
 
 #include <algorithm>
 #include <memory>
@@ -231,6 +232,74 @@ TEST(CrossBackend, EveryRegisteredBackendServesAFrame) {
         << info.name << " produced an empty image";
     EXPECT_EQ(out.hw.has_value(), info.capabilities.is_hardware_model)
         << info.name;
+  }
+}
+
+TEST(CrossBackend, StageCompositionBitIdenticalToRender) {
+  // Callers that time the three stages one at a time (the hardware-model
+  // benchmark does) rely on this: for every registered backend and both
+  // software kernels, the stage composition is render(), image bits and
+  // modelled metrics alike.
+  const scene::GaussianScene gscene = small_scene(400);
+  const scene::Camera camera = small_camera(64, 48);
+  for (const pipeline::RasterKernel kernel :
+       {pipeline::RasterKernel::kReference, pipeline::RasterKernel::kFast}) {
+    FrameOptions options;
+    options.pipeline.kernel = kernel;
+    for (const std::string& name : names()) {
+      SCOPED_TRACE(name + "/" + pipeline::to_string(kernel));
+      const std::unique_ptr<RenderBackend> backend = create(name);
+      const FrameOutput whole = backend->render(gscene, camera, options);
+      pipeline::FrameResult frame =
+          backend->stage_preprocess(gscene, camera, options);
+      backend->stage_sort(frame, options);
+      const FrameOutput staged =
+          backend->stage_raster(std::move(frame), options);
+      EXPECT_GT(whole.frame.image.mean_luminance(), 0.0);
+      EXPECT_EQ(whole.frame.image.max_abs_diff(staged.frame.image), 0.0f);
+      EXPECT_EQ(whole.frame.raster_stats.pairs_evaluated,
+                staged.frame.raster_stats.pairs_evaluated);
+      ASSERT_EQ(whole.hw.has_value(), staged.hw.has_value());
+      if (whole.hw) {
+        EXPECT_EQ(whole.hw->raster_model_ms, staged.hw->raster_model_ms);
+        EXPECT_EQ(whole.hw->stage12_model_ms, staged.hw->stage12_model_ms);
+        EXPECT_EQ(whole.hw->pipelined_frame_ms,
+                  staged.hw->pipelined_frame_ms);
+        EXPECT_EQ(whole.hw->utilization, staged.hw->utilization);
+        EXPECT_EQ(whole.hw->energy_soc_mj, staged.hw->energy_soc_mj);
+      }
+    }
+  }
+}
+
+TEST(BackendDefaults, RenderOnlyBackendRefusesStageRaster) {
+  // A backend that overrides only render() inherits the shared Steps 1-2
+  // but has no Step 3 of its own: the default stage_raster refuses with a
+  // diagnostic naming the backend instead of rendering something else.
+  class RenderOnlyBackend : public RenderBackend {
+   public:
+    std::string name() const override { return "render-only"; }
+    std::string describe() const override { return "test double"; }
+    Capabilities capabilities() const override { return {}; }
+    FrameOutput render(const scene::GaussianScene& scene,
+                       const scene::Camera& camera,
+                       const FrameOptions& options) const override {
+      return SoftwareBackend{}.render(scene, camera, options);
+    }
+  };
+  const RenderOnlyBackend backend;
+  const scene::GaussianScene gscene = small_scene(100);
+  const FrameOptions options;
+  pipeline::FrameResult frame =
+      backend.stage_preprocess(gscene, small_camera(32, 24), options);
+  backend.stage_sort(frame, options);
+  EXPECT_GT(frame.workload.instance_count(), 0u);
+  try {
+    backend.stage_raster(std::move(frame), options);
+    FAIL() << "render-only backend ran a Step 3";
+  } catch (const Error& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("render-only"), std::string::npos) << message;
   }
 }
 

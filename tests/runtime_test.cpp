@@ -1,7 +1,8 @@
 // Tests for the concurrent render-service runtime (src/runtime): thread-pool
 // semantics (bounded queue, backpressure, graceful shutdown), service-level
 // determinism (images must be bit-identical for any worker count), per-scene
-// caching, load-generator reproducibility, and the engine seam — every
+// caching, drain/shutdown completing every accepted job,
+// load-generator reproducibility, and the engine seam — every
 // service job runs over a registry-created (or injected)
 // engine::RenderBackend.
 
@@ -315,6 +316,100 @@ TEST(RenderService, StatsAreConsistent) {
   const std::string json = service_stats_json(stats);
   EXPECT_NE(json.find("\"completed\":5"), std::string::npos);
   EXPECT_NE(json.find("\"latency_p99_ms\":"), std::string::npos);
+}
+
+TEST(RenderService, StatsJsonHasNoStageBreakdown) {
+  // serve-stats v3 dropped the per-stage array along with the only
+  // executor that filled it; the document is flat scalars.
+  ServiceConfig config;
+  config.workers = 1;
+  config.backend = "sw";
+  RenderService service(with_scenes(
+      config, [](const std::string&) { return small_scene(200); }));
+  const ScenePtr scene = service.scene("s");
+  service.submit({scene, test_cameras(1)[0]}).get();
+  const std::string json = service_stats_json(service.stats());
+  EXPECT_EQ(json.find("stages"), std::string::npos) << json;
+  EXPECT_EQ(json.back(), '}') << json;
+}
+
+TEST(RenderService, DrainWaitsForEveryAcceptedJob) {
+  ServiceConfig config;
+  config.workers = 3;
+  config.backend = "sw";
+  RenderService service(with_scenes(
+      config, [](const std::string&) { return small_scene(400); }));
+  const ScenePtr scene = service.scene("s");
+  for (const scene::Camera& camera : test_cameras(6)) {
+    service.submit({scene, camera});  // futures dropped: drain must wait
+  }
+  service.drain();
+  EXPECT_EQ(service.stats().completed, 6u);
+}
+
+TEST(RenderService, ShutdownWhileQueueFullDrainsEveryAcceptedJob) {
+  // Park the only worker on a closed gate with the queue full behind it,
+  // call shutdown() while all of it is in flight, and require that
+  // shutdown completes every accepted job (values, not broken promises)
+  // before returning.
+  class GatedBackend : public engine::RenderBackend {
+   public:
+    explicit GatedBackend(std::shared_future<void> gate)
+        : gate_(std::move(gate)) {}
+    std::string name() const override { return "gated"; }
+    std::string describe() const override { return "test double"; }
+    engine::Capabilities capabilities() const override {
+      return engine::SoftwareBackend{}.capabilities();
+    }
+    engine::FrameOutput render(const scene::GaussianScene& scene,
+                               const scene::Camera& camera,
+                               const engine::FrameOptions& options)
+        const override {
+      gate_.wait();
+      return engine::SoftwareBackend{}.render(scene, camera, options);
+    }
+
+   private:
+    std::shared_future<void> gate_;
+  };
+
+  std::promise<void> gate;
+  ServiceConfig config;
+  config.workers = 1;
+  config.queue_capacity = 2;
+  config.backend_instance =
+      std::make_shared<const GatedBackend>(gate.get_future().share());
+  RenderService service(with_scenes(
+      config, [](const std::string&) { return small_scene(150); }));
+  const ScenePtr scene = service.scene("s");
+  const scene::Camera camera = test_cameras(1)[0];
+
+  constexpr int kJobs = 3;  // one on the gated worker, two queued
+  std::vector<std::future<JobResult>> futures;
+  for (int i = 0; i < kJobs; ++i) {
+    futures.push_back(service.submit({scene, camera}));
+  }
+
+  std::atomic<bool> shutdown_returned{false};
+  std::thread closer([&] {
+    service.shutdown();
+    shutdown_returned = true;
+  });
+  // Give shutdown a moment to park against the gated worker: it must wait
+  // for the drain, not give up.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(shutdown_returned.load())
+      << "shutdown returned while accepted jobs were still gated";
+
+  gate.set_value();
+  closer.join();
+  EXPECT_TRUE(shutdown_returned.load());
+  for (auto& f : futures) {
+    EXPECT_NO_THROW(f.get()) << "accepted job dropped during shutdown";
+  }
+  EXPECT_EQ(service.stats().completed, static_cast<std::uint64_t>(kJobs));
+  EXPECT_THROW(service.submit({scene, camera}), Error)
+      << "intake stayed open after shutdown";
 }
 
 TEST(RenderService, ServesOverAnyRegistryCreatedBackend) {

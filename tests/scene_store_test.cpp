@@ -1,14 +1,16 @@
 // Tests for the scene::SceneStore subsystem: canonical scene-key parsing,
 // the quantized at-rest representation (bit-stable dequantization, the
 // <= 0.6x resident-byte budget), strict LRU eviction under a byte budget,
-// single-flight loading, pin-while-rendering, precompute attachments,
-// admission control (store-level and end-to-end over the wire), and the
+// single-flight loading, pin-while-rendering, PLY-directory key
+// confinement, admission control (store-level and end-to-end over the
+// wire), and the
 // acceptance property the store is specified against: a byte-budgeted
 // service produces frames bit-identical to an unbounded one.
 
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -22,6 +24,7 @@
 #include "net/server.hpp"
 #include "runtime/service.hpp"
 #include "scene/generator.hpp"
+#include "scene/ply_io.hpp"
 #include "scene/quantized.hpp"
 #include "scene/store.hpp"
 
@@ -322,71 +325,113 @@ TEST(SceneStore, ColdHitReinflatesIdenticallyWithoutSource) {
 }
 
 // ---------------------------------------------------------------------------
-// Attachments (precompute accounting)
+// PLY-directory key confinement
 // ---------------------------------------------------------------------------
 
-TEST(SceneStore, AttachmentBuiltOnceChargedAndSurvivesDemote) {
-  std::atomic<int> loads{0};
-  SceneStore store(counted_config(loads));
-  std::shared_ptr<const GaussianScene> scene = store.acquire("a");
-  const std::uint64_t bytes_before = store.stats().resident_bytes;
+/// A fresh `<temp>/<name>/scenes` directory holding `a.ply`, with a valid
+/// `outside.ply` one level up — next to the scene directory, not in it.
+struct PlyDirFixture {
+  std::filesystem::path root;
+  std::filesystem::path scenes;
+  std::filesystem::path outside;
 
-  int builds = 0;
-  const SceneStore::AttachmentFactory factory =
-      [&builds](std::size_t& bytes) {
-        ++builds;
-        bytes = 4096;
-        return std::shared_ptr<const void>(std::make_shared<int>(7));
-      };
-  const std::shared_ptr<const void> att = store.attachment(scene.get(), factory);
-  ASSERT_NE(att, nullptr);
-  EXPECT_EQ(builds, 1);
-  EXPECT_EQ(store.attachment_count(), 1u);
-  EXPECT_EQ(store.stats().resident_bytes, bytes_before + 4096);
+  explicit PlyDirFixture(const std::string& name)
+      : root(std::filesystem::path(::testing::TempDir()) / name),
+        scenes(root / "scenes"),
+        outside(root / "outside.ply") {
+    std::filesystem::remove_all(root);
+    std::filesystem::create_directories(scenes);
+    save_ply(small_scene(64, 3), (scenes / "a.ply").string());
+    save_ply(small_scene(64, 4), outside.string());
+  }
+  ~PlyDirFixture() { std::filesystem::remove_all(root); }
+};
 
-  // Second request returns the cached attachment without rebuilding.
-  EXPECT_EQ(store.attachment(scene.get(), factory), att);
-  EXPECT_EQ(builds, 1);
-
-  // Demote and re-inflate: the attachment belongs to the entry, not the
-  // float copy, so it survives (dequantization is bit-stable, so derived
-  // state stays valid).
-  scene.reset();
-  scene = store.acquire("a");
-  EXPECT_EQ(store.attachment(scene.get(), factory), att);
-  EXPECT_EQ(builds, 1);
-
-  // A scene the store never served gets no attachment.
-  const GaussianScene outsider = small_scene(50, 9);
-  EXPECT_EQ(store.attachment(&outsider, factory), nullptr);
+/// The diagnostic a refused key must produce: it names the rule, and never
+/// the file-system outcome (which would tell a remote client whether the
+/// file exists).
+void expect_refused(const SceneSource& source, const std::string& key) {
+  SCOPED_TRACE(key);
+  for (int quantized = 0; quantized < 2; ++quantized) {
+    try {
+      if (quantized) {
+        (void)source.resolve_quantized(key, 0);
+      } else {
+        (void)source.resolve(key);
+      }
+      FAIL() << "key escaped the scene directory";
+    } catch (const Error& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find("bare names only"), std::string::npos) << message;
+      EXPECT_EQ(message.find("cannot open"), std::string::npos) << message;
+      EXPECT_EQ(message.find("not a PLY"), std::string::npos) << message;
+    }
+  }
 }
 
-TEST(SceneStore, AttachmentDiesWithEvictedEntry) {
-  std::atomic<int> loads{0};
-  const std::size_t scene_bytes = one_scene_bytes();
-  SceneStoreConfig config = counted_config(loads);
-  config.max_bytes = 2 * scene_bytes;
+TEST(PlyDirectorySource, BareNameLoadsFromTheDirectory) {
+  const PlyDirFixture dir("ply_dir_bare");
+  const PlyDirectorySource source(dir.scenes.string());
+  EXPECT_EQ(source.resolve("ply:a").size(), 64u);
+  EXPECT_EQ(source.resolve("ply:a.ply").size(), 64u);
+
+  SceneStoreConfig config;
+  config.source =
+      std::make_shared<const PlyDirectorySource>(dir.scenes.string());
   SceneStore store(config);
+  EXPECT_EQ(store.acquire("ply:a")->size(), 64u);
+  // Synthetic keys still delegate to the embedded generator.
+  EXPECT_EQ(store.acquire("synthetic:50@1")->size(), 50u);
+}
 
-  std::shared_ptr<const GaussianScene> scene = store.acquire("a");
-  int builds = 0;
-  const SceneStore::AttachmentFactory factory =
-      [&builds](std::size_t& bytes) {
-        ++builds;
-        bytes = 64;
-        return std::shared_ptr<const void>(std::make_shared<int>(1));
-      };
-  store.attachment(scene.get(), factory);
-  scene.reset();
+TEST(PlyDirectorySource, KeysWithASeparatorAreRefusedEvenForValidFiles) {
+  const PlyDirFixture dir("ply_dir_refuse");
+  const PlyDirectorySource source(dir.scenes.string());
+  expect_refused(source, "ply:../outside");
+  expect_refused(source, "ply:" + dir.outside.string());
+  expect_refused(source, "ply:" + (dir.root / "missing").string());
+  expect_refused(source, "ply:./a");
+  // The bare name still serves after the refusals.
+  EXPECT_EQ(source.resolve("ply:a").size(), 64u);
+}
 
-  store.acquire("b");
-  store.acquire("c");  // evicts "a" (LRU, unpinned) — attachment goes too
-  EXPECT_EQ(store.attachment_count(), 0u);
+TEST(PlyDirectorySource, EmptyDirectoryTakesKeysAsPaths) {
+  // The local `render` path: no directory, so a key is a file-system path.
+  const PlyDirFixture dir("ply_dir_empty");
+  const PlyDirectorySource source("");
+  EXPECT_EQ(source.resolve("ply:" + dir.outside.string()).size(), 64u);
+  EXPECT_EQ(source.resolve("ply:" + (dir.scenes / "a").string()).size(), 64u);
+}
 
-  // Reload builds a fresh attachment: nothing stale survives the eviction.
-  scene = store.acquire("a");
-  store.attachment(scene.get(), factory);
-  EXPECT_EQ(builds, 2);
+TEST(Server, PathKeyRefusedOnTheWireAndServingContinues) {
+  const PlyDirFixture dir("ply_dir_wire");
+  runtime::ServiceConfig config;
+  config.workers = 1;
+  config.backend = "sw";
+  config.scene_source =
+      std::make_shared<const PlyDirectorySource>(dir.scenes.string());
+  runtime::RenderService service(config);
+  net::Server server(service, {});
+  server.start();
+  {
+    net::Client client("127.0.0.1", server.port());
+    net::RenderRequest escape = net::default_render_request(64, 3, 32, 24);
+    escape.request_id = 1;
+    escape.scene = "ply:" + dir.outside.string();
+    const net::RenderResponse refused = client.render(escape);
+    EXPECT_EQ(refused.status, net::RenderStatus::kServerError);
+    EXPECT_NE(refused.message.find("bare names only"), std::string::npos)
+        << refused.message;
+
+    net::RenderRequest named = net::default_render_request(64, 3, 32, 24);
+    named.request_id = 2;
+    named.scene = "ply:a";
+    named.flags = net::kWantImage;
+    const net::RenderResponse served = client.render(named);
+    EXPECT_EQ(served.status, net::RenderStatus::kOk) << served.message;
+    EXPECT_TRUE(served.has_image);
+  }
+  server.stop();
 }
 
 // ---------------------------------------------------------------------------
@@ -463,7 +508,7 @@ TEST(Server, OverBudgetSceneRefusedOnTheWireAndServingContinues) {
 }
 
 // ---------------------------------------------------------------------------
-// Service-level: budget bit-identity and precompute freshness
+// Service-level: budget bit-identity and reload freshness
 // ---------------------------------------------------------------------------
 
 /// Renders one frame per key in sequence and returns the images.
@@ -513,15 +558,12 @@ TEST(RenderService, BudgetedFramesBitIdenticalToUnbounded) {
   }
 }
 
-TEST(RenderService, ReloadedSceneGetsFreshPrecompute) {
-  // Regression: precompute used to be keyed by scene address, so a reload
-  // landing at a recycled allocation could serve a stale precompute.
-  // Under the store, precompute is an entry attachment and dies with the
-  // eviction; a reload whose source now returns different content must
+TEST(RenderService, ReloadedSceneRendersFreshContent) {
+  // An evicted scene is gone for good: a reload whose source now returns
+  // different content (possibly landing at a recycled allocation) must
   // render that content, not the ghost of the old scene.
   std::atomic<int> version{0};
   runtime::ServiceConfig config;
-  config.mode = runtime::ExecutionMode::kPipelined;
   config.backend = "sw";
   config.scene_source = std::make_shared<const FunctionSource>(
       [&version](const std::string& key) {
@@ -534,7 +576,7 @@ TEST(RenderService, ReloadedSceneGetsFreshPrecompute) {
   const scene::Camera camera(64, 48, 0.9f, Vec3f{0.0f, 2.0f, 9.0f},
                              Vec3f{0.0f, 0.0f, 0.0f});
 
-  // First load of "s" (v1) renders and builds its precompute.
+  // First load of "s" (v1) renders.
   const Image first =
       service.submit({service.scene("s"), camera}).get().frame.image;
   // Evict "s": acquire another scene while no pin on "s" is outstanding.
@@ -551,7 +593,7 @@ TEST(RenderService, ReloadedSceneGetsFreshPrecompute) {
   const Image second =
       service.submit({service.scene("s"), camera}).get().frame.image;
 
-  // Reference: a fresh unbounded pipelined service rendering v2 directly.
+  // Reference: a fresh unbounded service rendering v2 directly.
   runtime::ServiceConfig reference = config;
   reference.scene_budget_bytes = 0;
   reference.scene_source = std::make_shared<const FunctionSource>(
@@ -563,7 +605,7 @@ TEST(RenderService, ReloadedSceneGetsFreshPrecompute) {
   EXPECT_FALSE(images_identical(first, second))
       << "reload served the old scene content";
   EXPECT_TRUE(images_identical(second, expected))
-      << "reloaded scene rendered with stale derived state";
+      << "reloaded scene rendered stale content";
 }
 
 }  // namespace
