@@ -18,7 +18,12 @@
 //                "median_ms":...,"min_ms":...,"max_ms":...,
 //                "stddev_ms":...}, ...],
 //    "derived":{"raster_fast_speedup":R, "sort_parallel_speedup":R,
-//               "raster_mt_speedup":R}}
+//               "raster_mt_speedup":R, "raster_hw_model_overhead":R}}
+//
+// raster_hw_model_overhead is raster_hw_model's median over
+// raster_reference's from the same run: the GauRast functional model
+// renders bit-identical images, so it should cost no more than the
+// reference kernel (tools/bench_compare.py fails the report above 1.0).
 //
 // The canonical configuration is the flag defaults (20000 synthetic
 // Gaussians at 320x240, warmup 2, repeat 5); the recorded perf trajectory
@@ -154,13 +159,19 @@ int main(int argc, char** argv) {
       splat.conic = {0.05f, 0.01f, 0.07f};
       splat.opacity = 0.8f;
       splat.color = {0.5f, 0.4f, 0.3f};
-      sim::CounterSet counters;
-      pipeline::PixelBlendState state;
+      core::OpTally ops;
+      float transmittance_sum = 0.0f;
       for (int i = 0; i < 200000; ++i) {
-        state = pipeline::PixelBlendState{};
-        core::pe_gaussian_pair(splat, {11.0f, 9.0f}, state, blend,
-                               core::Precision::kFp32, counters);
+        // The datapath is inline: vary the pixel and consume every result
+        // so the compiler can neither fold nor hoist the measured work.
+        pipeline::PixelBlendState state;
+        const Vec2f pixel{11.0f + 0.125f * static_cast<float>(i % 8), 9.0f};
+        core::pe_gaussian_pair(splat, pixel, state, blend,
+                               core::Precision::kFp32, ops);
+        transmittance_sum += state.transmittance;
       }
+      volatile float sink = transmittance_sum + static_cast<float>(ops.mul);
+      (void)sink;
     });
 
     bench("preprocess", [&] {
@@ -253,6 +264,8 @@ int main(int argc, char** argv) {
         ratio(median_of("sort_serial"), median_of("sort_parallel"));
     const double raster_mt_speedup =
         ratio(median_of("raster_fast"), median_of("raster_fast_mt"));
+    const double raster_hw_model_overhead =
+        ratio(median_of("raster_hw_model"), median_of("raster_reference"));
 
     print_banner(std::cout,
                  "bench_micro: " + std::to_string(params.gaussian_count) +
@@ -270,6 +283,11 @@ int main(int argc, char** argv) {
     if (raster_fast_speedup > 0.0) {
       std::cout << "Raster fast-vs-reference speedup (single thread, median): "
                 << format_ratio(raster_fast_speedup) << '\n';
+    }
+    if (raster_hw_model_overhead > 0.0) {
+      std::cout << "Hardware model vs reference kernel (single thread, "
+                   "median): "
+                << format_ratio(raster_hw_model_overhead) << '\n';
     }
 
     const std::string json_path = cli.get_string("json");
@@ -297,7 +315,8 @@ int main(int argc, char** argv) {
            << ",\"sort_parallel_speedup\":"
            << json_number(sort_parallel_speedup)
            << ",\"raster_mt_speedup\":" << json_number(raster_mt_speedup)
-           << "}}";
+           << ",\"raster_hw_model_overhead\":"
+           << json_number(raster_hw_model_overhead) << "}}";
       if (json_path == "-") {
         std::cout << json.str() << '\n';
       } else {

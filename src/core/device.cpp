@@ -40,12 +40,11 @@ DeviceGaussianFrame GauRastDevice::raster_prepared(
     pipeline::FrameResult& frame,
     const pipeline::RendererConfig& pipeline_config) const {
   // Step 3 on the enhanced rasterizer. Non-const so the image can be moved
-  // into the frame below instead of copied a second time.
+  // into the frame below; `out.image` stays empty (render() fills it).
   HwRasterResult hw = hw_.rasterize_gaussians(frame.splats, frame.workload,
                                               pipeline_config.blend);
 
   DeviceGaussianFrame out;
-  out.image = hw.image;
   out.pairs_evaluated = hw.pairs_evaluated;
   out.utilization = hw.utilization();
   out.raster_model_ms = hw.runtime_ms();
@@ -70,7 +69,12 @@ DeviceGaussianFrame GauRastDevice::render(
   // Steps 1-2 on the "CUDA cores" (functionally here on the CPU).
   pipeline::FrameResult frame = renderer.prepare(scene, camera);
   DeviceGaussianFrame out = raster_prepared(frame, pipeline_config);
-  if (out_frame != nullptr) *out_frame = std::move(frame);
+  if (out_frame != nullptr) {
+    out.image = frame.image;
+    *out_frame = std::move(frame);
+  } else {
+    out.image = std::move(frame.image);
+  }
   return out;
 }
 

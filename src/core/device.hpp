@@ -29,7 +29,7 @@ namespace gaurast::core {
 /// Everything a Gaussian-frame render returns: the image plus modeled
 /// deployment metrics at the device's operating point.
 struct DeviceGaussianFrame {
-  Image image;
+  Image image;  ///< filled by render(); raster_prepared() leaves it empty
   std::uint64_t pairs_evaluated = 0;
   double utilization = 0.0;
 
@@ -79,7 +79,8 @@ class GauRastDevice {
   /// prepare() or the begin_frame/sort_frame stage path): runs the
   /// enhanced-rasterizer model on the frame's sorted workload, writes the
   /// hardware image and pair counters back into `frame`, and returns the
-  /// modeled metrics. render() is exactly prepare + raster_prepared, so an
+  /// modeled metrics with `image` left empty (the frame holds the only
+  /// copy). render() is exactly prepare + raster_prepared, so an
   /// engine backend's stage_raster and render() cannot drift apart.
   DeviceGaussianFrame raster_prepared(
       pipeline::FrameResult& frame,

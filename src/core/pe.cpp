@@ -1,108 +1,36 @@
 #include "core/pe.hpp"
 
-#include <cmath>
-
-#include "common/half.hpp"
+#include <utility>
 
 namespace gaurast::core {
 
-namespace {
-
-using sim::ops::kFp32Add;
-using sim::ops::kFp32Cmp;
-using sim::ops::kFp32Div;
-using sim::ops::kFp32Exp;
-using sim::ops::kFp32Mul;
-
-/// Rounds through binary16 when the datapath is FP16; identity for FP32.
-inline float q(float v, Precision p) {
-  return p == Precision::kFp16 ? round_to_half(v) : v;
-}
-
-}  // namespace
-
-GaussianPairResult pe_gaussian_pair(const pipeline::Splat2D& splat,
-                                    Vec2f pixel,
-                                    pipeline::PixelBlendState& state,
-                                    const pipeline::BlendParams& params,
-                                    Precision precision,
-                                    sim::CounterSet& counters) {
-  GaussianPairResult result;
-
-  // Subtask 1 — coordinate shift (2 adders).
-  const float dx = q(pixel.x - splat.mean.x, precision);
-  const float dy = q(pixel.y - splat.mean.y, precision);
-  counters.increment(kFp32Add, 2);
-
-  // Subtask 2 — Gaussian probability: power = -1/2 d^T Conic d.
-  // 6 multipliers + 2 adders, then the dedicated exp unit.
-  const float dx2 = q(dx * dx, precision);
-  const float dy2 = q(dy * dy, precision);
-  const float dxdy = q(dx * dy, precision);
-  const float qa = q(splat.conic.a * dx2, precision);
-  const float qc = q(splat.conic.c * dy2, precision);
-  const float qb = q(splat.conic.b * dxdy, precision);
-  counters.increment(kFp32Mul, 6);
-  const float power =
-      q(-0.5f * q(qa + qc, precision) - qb, precision);
-  counters.increment(kFp32Add, 2);
-
-  // Numerical guard identical to the reference kernel.
-  counters.increment(kFp32Cmp, 1);
-  if (power > 0.0f) return result;
-
-  const float e = q(std::exp(power), precision);
-  counters.increment(kFp32Exp, 1);
-  float alpha = q(splat.opacity * e, precision);
-  counters.increment(kFp32Mul, 1);
-  // Alpha clamp.
-  counters.increment(kFp32Cmp, 1);
-  if (alpha > params.alpha_max) alpha = params.alpha_max;
-  result.alpha = alpha;
-
-  // Threshold: contributions below 1/255 are skipped.
-  counters.increment(kFp32Cmp, 1);
-  if (alpha < params.alpha_min) return result;
-
-  // Subtask 3 — color weight (T * alpha, then per-channel scale).
-  const float w = q(state.transmittance * alpha, precision);
-  counters.increment(kFp32Mul, 1);
-  const Vec3f weighted{q(splat.color.x * w, precision),
-                       q(splat.color.y * w, precision),
-                       q(splat.color.z * w, precision)};
-  counters.increment(kFp32Mul, 3);
-
-  // Subtask 4 — color accumulation and transmittance update.
-  state.accumulated = {q(state.accumulated.x + weighted.x, precision),
-                       q(state.accumulated.y + weighted.y, precision),
-                       q(state.accumulated.z + weighted.z, precision)};
-  counters.increment(kFp32Add, 3);
-  const float one_minus = q(1.0f - alpha, precision);
-  state.transmittance = q(state.transmittance * one_minus, precision);
-  counters.increment(kFp32Add, 1);
-  counters.increment(kFp32Mul, 1);
-
-  result.blended = true;
-  return result;
+void OpTally::add_to(sim::CounterSet& counters) const {
+  const std::pair<const char*, std::uint64_t> tallies[] = {
+      {sim::ops::kFp32Add, add}, {sim::ops::kFp32Mul, mul},
+      {sim::ops::kFp32Div, div}, {sim::ops::kFp32Exp, exp},
+      {sim::ops::kFp32Cmp, cmp}};
+  for (const auto& [name, count] : tallies) {
+    if (count != 0) counters.increment(name, count);
+  }
 }
 
 bool pe_triangle_pair(const mesh::ScreenTriangle& tri, Vec2f pixel,
                       float& depth_state, Vec3f& color_state,
-                      Precision precision, sim::CounterSet& counters) {
+                      Precision precision, OpTally& ops) {
   // The functional math mirrors mesh::eval_triangle_at exactly (FP32) so
   // hardware images equal the reference renderer. The *counted* ops use the
   // hardware form: three incremental edge updates per pixel step.
   const mesh::TriangleFragment frag = mesh::eval_triangle_at(tri, pixel);
-  counters.increment(kFp32Add, 3);   // edge increments
-  counters.increment(kFp32Cmp, 3);   // inside tests
+  ops.add += 3;  // edge increments
+  ops.cmp += 3;  // inside tests
   if (!frag.inside) return false;
 
   // Barycentric weights (3 muls by 1/2A from setup) + attribute
   // interpolation (depth 3 muls/2 adds handled below, color 3 MACs counted
   // as the remaining shared-unit work).
-  counters.increment(kFp32Mul, 9);
-  counters.increment(kFp32Add, 6);
-  counters.increment(kFp32Cmp, 1);   // depth compare
+  ops.mul += 9;
+  ops.add += 6;
+  ops.cmp += 1;  // depth compare
 
   float depth = frag.depth;
   Vec3f color = frag.color;
@@ -119,10 +47,10 @@ bool pe_triangle_pair(const mesh::ScreenTriangle& tri, Vec2f pixel,
   return false;
 }
 
-void pe_triangle_setup(sim::CounterSet& counters) {
-  counters.increment(kFp32Div, 1);  // 1 / (2 * area)
-  counters.increment(kFp32Mul, 2);
-  counters.increment(kFp32Add, 5);
+void pe_triangle_setup(OpTally& ops) {
+  ops.div += 1;  // 1 / (2 * area)
+  ops.mul += 2;
+  ops.add += 5;
 }
 
 }  // namespace gaurast::core

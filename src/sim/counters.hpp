@@ -1,9 +1,10 @@
 // Named event counters for hardware activity accounting.
 //
-// Every datapath operation the PE model performs increments a counter here;
-// the EnergyModel converts the final counts into joules. Keeping counting
-// separate from energy lets tests assert exact op counts (paper Table II)
-// without touching the energy tables.
+// The PE model tallies its datapath operations as plain integers per pair
+// (core::OpTally) and writes each frame's totals here once; the EnergyModel
+// converts the final counts into joules. Keeping counting separate from
+// energy lets tests assert exact op counts (paper Table II) without touching
+// the energy tables.
 #pragma once
 
 #include <cstdint>
@@ -16,8 +17,8 @@ namespace gaurast::sim {
 
 class CounterSet {
  public:
-  /// Hot path: heterogeneous lookup avoids a std::string allocation per
-  /// increment (the PE model increments several counters per pair).
+  /// A map lookup per call (heterogeneous, so no std::string allocation):
+  /// meant for per-frame or per-tile totals, not per-pair loops.
   void increment(std::string_view name, std::uint64_t by = 1) {
     const auto it = counters_.find(name);
     if (it != counters_.end()) {

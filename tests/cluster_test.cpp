@@ -507,32 +507,54 @@ TEST(Router, FailsOverWhenShardKilledUnderLoad) {
 
   // Several client crews hammer the router with small frames across many
   // scene keys (so both shards own some) while shard 0 is killed mid-load.
+  // The kill waits until every crew has had a response, and each crew keeps
+  // sending until it has made kRequestsAfterKill requests after the kill,
+  // the first of them for a scene shard 0 owns. So the kill lands under
+  // load, and shard 0 takes forwards after it, however fast frames render.
   // Every request must get a terminal kOk answer — failover absorbs the
   // death; nothing hangs, nothing is dropped.
   constexpr int kThreads = 3;
-  constexpr int kRequestsPerThread = 6;
+  constexpr int kRequestsAfterKill = 3;
+  const std::uint64_t shard0_seed = fleet.seed_owned_by(0, 600, 64, 48);
+  std::atomic<int> crews_answered{0};
+  std::atomic<bool> killed{false};
   std::vector<std::thread> crews;
+  std::vector<int> sent(kThreads, 0);
   std::vector<int> ok_counts(kThreads, 0);
   for (int t = 0; t < kThreads; ++t) {
-    crews.emplace_back([&fleet, &ok_counts, t] {
+    crews.emplace_back([&, t] {
       net::Client client("127.0.0.1", fleet.router_port());
-      for (int i = 0; i < kRequestsPerThread; ++i) {
-        net::RenderRequest wire = net::default_render_request(
-            600, static_cast<std::uint64_t>(t * 100 + i), 64, 48);
+      int after_kill = -1;  // requests sent since the kill was seen
+      for (int i = 0; after_kill < kRequestsAfterKill; ++i) {
+        if (after_kill < 0 && killed.load()) after_kill = 0;
+        const std::uint64_t seed = after_kill == 0
+                                       ? shard0_seed
+                                       : static_cast<std::uint64_t>(t * 100 + i);
+        net::RenderRequest wire =
+            net::default_render_request(600, seed, 64, 48);
         wire.request_id = static_cast<std::uint64_t>(t * 1000 + i);
         wire.flags = net::kWantImage;
         const net::RenderResponse resp = client.render(wire);
         EXPECT_EQ(resp.status, net::RenderStatus::kOk) << resp.message;
         EXPECT_EQ(resp.request_id, wire.request_id);
         if (resp.status == net::RenderStatus::kOk) ++ok_counts[t];
+        ++sent[t];
+        if (i == 0) crews_answered.fetch_add(1);
+        if (after_kill >= 0) ++after_kill;
       }
     });
   }
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  while (crews_answered.load() < kThreads) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   fleet.kill_shard(0);
+  killed.store(true);
   for (std::thread& crew : crews) crew.join();
 
-  for (const int ok : ok_counts) EXPECT_EQ(ok, kRequestsPerThread);
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_GT(sent[t], kRequestsAfterKill);
+    EXPECT_EQ(ok_counts[t], sent[t]);
+  }
   // New requests for scenes shard 0 owned keep working via the remap.
   const std::uint64_t seed = fleet.seed_owned_by(0, 500, 64, 48);
   net::RenderRequest wire = net::default_render_request(500, seed, 64, 48);

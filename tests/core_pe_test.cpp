@@ -32,7 +32,7 @@ pipeline::Splat2D random_splat(Pcg32& rng) {
 TEST(PeGaussian, MatchesSoftwareReferenceExactly) {
   Pcg32 rng(2024);
   const pipeline::BlendParams params;
-  sim::CounterSet counters;
+  OpTally ops;
   for (int i = 0; i < 2000; ++i) {
     const pipeline::Splat2D s = random_splat(rng);
     const Vec2f pixel{static_cast<float>(rng.uniform(0, 32)),
@@ -48,7 +48,7 @@ TEST(PeGaussian, MatchesSoftwareReferenceExactly) {
     const bool blended = pipeline::accumulate(sw, alpha, s.color, params);
     // Hardware path.
     const GaussianPairResult r =
-        pe_gaussian_pair(s, pixel, hw, params, Precision::kFp32, counters);
+        pe_gaussian_pair(s, pixel, hw, params, Precision::kFp32, ops);
     EXPECT_EQ(r.blended, blended);
     // Bit-exact state agreement.
     EXPECT_EQ(hw.transmittance, sw.transmittance);
@@ -66,9 +66,9 @@ TEST(PeGaussian, AlphaClampedToMax) {
   s.color = {1, 1, 1};
   pipeline::BlendParams params;
   pipeline::PixelBlendState state;
-  sim::CounterSet counters;
+  OpTally ops;
   const GaussianPairResult r =
-      pe_gaussian_pair(s, {0, 0}, state, params, Precision::kFp32, counters);
+      pe_gaussian_pair(s, {0, 0}, state, params, Precision::kFp32, ops);
   EXPECT_FLOAT_EQ(r.alpha, params.alpha_max);
 }
 
@@ -79,10 +79,10 @@ TEST(PeGaussian, FarPixelRejectsWithoutBlend) {
   s.opacity = 0.9f;
   pipeline::BlendParams params;
   pipeline::PixelBlendState state;
-  sim::CounterSet counters;
+  OpTally ops;
   const GaussianPairResult r =
       pe_gaussian_pair(s, {100, 100}, state, params, Precision::kFp32,
-                       counters);
+                       ops);
   EXPECT_FALSE(r.blended);
   EXPECT_EQ(state.transmittance, 1.0f);
 }
@@ -95,17 +95,17 @@ TEST(PeGaussian, OpCountsMatchInventoryForBlendedPair) {
   s.color = {0.2f, 0.3f, 0.4f};
   pipeline::BlendParams params;
   pipeline::PixelBlendState state;
-  sim::CounterSet counters;
+  OpTally ops;
   const GaussianPairResult r =
       pe_gaussian_pair(s, {0.3f, 0.2f}, state, params, Precision::kFp32,
-                       counters);
+                       ops);
   ASSERT_TRUE(r.blended);
-  const GaussianPairOps ops{};
-  EXPECT_EQ(counters.get(sim::ops::kFp32Add), ops.adds);
-  EXPECT_EQ(counters.get(sim::ops::kFp32Mul), ops.muls);
-  EXPECT_EQ(counters.get(sim::ops::kFp32Exp), ops.exps);
-  EXPECT_EQ(counters.get(sim::ops::kFp32Cmp), ops.cmps + 1);
-  EXPECT_EQ(counters.get(sim::ops::kFp32Div), 0u);  // no divider in Gaussian mode
+  const GaussianPairOps full{};
+  EXPECT_EQ(ops.add, full.adds);
+  EXPECT_EQ(ops.mul, full.muls);
+  EXPECT_EQ(ops.exp, full.exps);
+  EXPECT_EQ(ops.cmp, full.cmps + 1);
+  EXPECT_EQ(ops.div, 0u);  // no divider in Gaussian mode
 }
 
 TEST(PeGaussian, RejectedPairCountsFewerOps) {
@@ -115,24 +115,24 @@ TEST(PeGaussian, RejectedPairCountsFewerOps) {
   s.opacity = 0.9f;
   pipeline::BlendParams params;
   pipeline::PixelBlendState state;
-  sim::CounterSet counters;
-  pe_gaussian_pair(s, {50, 50}, state, params, Precision::kFp32, counters);
-  EXPECT_LT(counters.get(sim::ops::kFp32Mul), GaussianPairOps{}.muls);
-  EXPECT_EQ(counters.get(sim::ops::kFp32Add), 4u);  // shift + power sum only
+  OpTally ops;
+  pe_gaussian_pair(s, {50, 50}, state, params, Precision::kFp32, ops);
+  EXPECT_LT(ops.mul, GaussianPairOps{}.muls);
+  EXPECT_EQ(ops.add, 4u);  // shift + power sum only
 }
 
 TEST(PeGaussian, Fp16DiffersFromFp32ButStaysClose) {
   Pcg32 rng(7);
   const pipeline::BlendParams params;
-  sim::CounterSet counters;
+  OpTally ops;
   int diff_count = 0;
   for (int i = 0; i < 300; ++i) {
     const pipeline::Splat2D s = random_splat(rng);
     const Vec2f pixel{static_cast<float>(rng.uniform(0, 32)),
                       static_cast<float>(rng.uniform(0, 32))};
     pipeline::PixelBlendState full, half;
-    pe_gaussian_pair(s, pixel, full, params, Precision::kFp32, counters);
-    pe_gaussian_pair(s, pixel, half, params, Precision::kFp16, counters);
+    pe_gaussian_pair(s, pixel, full, params, Precision::kFp32, ops);
+    pe_gaussian_pair(s, pixel, half, params, Precision::kFp16, ops);
     if (full.transmittance != half.transmittance) ++diff_count;
     EXPECT_NEAR(full.transmittance, half.transmittance, 0.01f);
     EXPECT_NEAR(full.accumulated.x, half.accumulated.x, 0.01f);
@@ -143,11 +143,11 @@ TEST(PeGaussian, Fp16DiffersFromFp32ButStaysClose) {
 TEST(PeGaussian, TransmittanceNeverNegative) {
   Pcg32 rng(11);
   const pipeline::BlendParams params;
-  sim::CounterSet counters;
+  OpTally ops;
   pipeline::PixelBlendState state;
   for (int i = 0; i < 500 && !state.terminated(); ++i) {
     const pipeline::Splat2D s = random_splat(rng);
-    pe_gaussian_pair(s, s.mean, state, params, Precision::kFp32, counters);
+    pe_gaussian_pair(s, s.mean, state, params, Precision::kFp32, ops);
     EXPECT_GE(state.transmittance, 0.0f);
   }
 }
@@ -167,11 +167,11 @@ TEST(PeTriangle, MatchesReferenceFragment) {
   tri.c0 = {1, 0, 0};
   tri.c1 = {0, 1, 0};
   tri.c2 = {0, 0, 1};
-  sim::CounterSet counters;
+  OpTally ops;
   float depth = std::numeric_limits<float>::infinity();
   Vec3f color{0, 0, 0};
   ASSERT_TRUE(pe_triangle_pair(tri, {16, 12}, depth, color,
-                               Precision::kFp32, counters));
+                               Precision::kFp32, ops));
   const mesh::TriangleFragment frag = mesh::eval_triangle_at(tri, {16, 12});
   EXPECT_EQ(depth, frag.depth);
   EXPECT_EQ(color.x, frag.color.x);
@@ -185,11 +185,11 @@ TEST(PeTriangle, DepthTestHoldsNearest) {
   tri.inv_double_area = 1.0f / mesh::edge_function(tri.p0, tri.p1, tri.p2);
   tri.z0 = tri.z1 = tri.z2 = 5.0f;
   tri.c0 = tri.c1 = tri.c2 = {1, 0, 0};
-  sim::CounterSet counters;
+  OpTally ops;
   float depth = 2.0f;  // something nearer already drawn
   Vec3f color{0, 1, 0};
   EXPECT_FALSE(pe_triangle_pair(tri, {4, 4}, depth, color, Precision::kFp32,
-                                counters));
+                                ops));
   EXPECT_EQ(color, (Vec3f{0, 1, 0}));  // held
   EXPECT_EQ(depth, 2.0f);
 }
@@ -200,18 +200,18 @@ TEST(PeTriangle, OutsidePixelDoesNotTouchState) {
   tri.p1 = {4, 0};
   tri.p2 = {0, 4};
   tri.inv_double_area = 1.0f / mesh::edge_function(tri.p0, tri.p1, tri.p2);
-  sim::CounterSet counters;
+  OpTally ops;
   float depth = std::numeric_limits<float>::infinity();
   Vec3f color{0.1f, 0.2f, 0.3f};
   EXPECT_FALSE(pe_triangle_pair(tri, {50, 50}, depth, color, Precision::kFp32,
-                                counters));
+                                ops));
   EXPECT_EQ(color, (Vec3f{0.1f, 0.2f, 0.3f}));
 }
 
 TEST(PeTriangle, SetupUsesDivider) {
-  sim::CounterSet counters;
-  pe_triangle_setup(counters);
-  EXPECT_EQ(counters.get(sim::ops::kFp32Div), 1u);
+  OpTally ops;
+  pe_triangle_setup(ops);
+  EXPECT_EQ(ops.div, 1u);
 }
 
 TEST(PeTriangle, CoveredPairOpsMatchInventory) {
@@ -220,15 +220,15 @@ TEST(PeTriangle, CoveredPairOpsMatchInventory) {
   tri.p1 = {20, 0};
   tri.p2 = {0, 20};
   tri.inv_double_area = 1.0f / mesh::edge_function(tri.p0, tri.p1, tri.p2);
-  sim::CounterSet counters;
+  OpTally ops;
   float depth = std::numeric_limits<float>::infinity();
   Vec3f color;
-  pe_triangle_pair(tri, {4, 4}, depth, color, Precision::kFp32, counters);
-  const TrianglePairOps ops{};
-  EXPECT_EQ(counters.get(sim::ops::kFp32Add), ops.adds);
-  EXPECT_EQ(counters.get(sim::ops::kFp32Mul), ops.muls);
-  EXPECT_EQ(counters.get(sim::ops::kFp32Cmp), ops.cmps);
-  EXPECT_EQ(counters.get(sim::ops::kFp32Exp), 0u);  // no exp in triangle mode
+  pe_triangle_pair(tri, {4, 4}, depth, color, Precision::kFp32, ops);
+  const TrianglePairOps covered{};
+  EXPECT_EQ(ops.add, covered.adds);
+  EXPECT_EQ(ops.mul, covered.muls);
+  EXPECT_EQ(ops.cmp, covered.cmps);
+  EXPECT_EQ(ops.exp, 0u);  // no exp in triangle mode
 }
 
 TEST(PeResources, InventoryMatchesPaper) {

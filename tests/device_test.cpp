@@ -36,6 +36,23 @@ TEST(Device, GaussianFrameMatchesPipelines) {
   EXPECT_GT(frame.energy_soc.total_mj(), 0.0);
 }
 
+TEST(Device, RasterPreparedLeavesTheImageInTheFrameOnly) {
+  const core::GauRastDevice device(core::RasterizerConfig::prototype16());
+  const auto sc = device_scene();
+  const scene::Camera cam = scene::default_camera({}, 96, 72);
+  const pipeline::RendererConfig config;
+  pipeline::FrameResult rendered;
+  const auto whole = device.render(sc, cam, config, &rendered);
+
+  pipeline::FrameResult frame = pipeline::GaussianRenderer(config).prepare(sc, cam);
+  const auto staged = device.raster_prepared(frame, config);
+  EXPECT_EQ(staged.image.pixel_count(), 0u);
+  ASSERT_EQ(whole.image.pixel_count(), 96u * 72u);
+  EXPECT_EQ(frame.image.max_abs_diff(whole.image), 0.0f);
+  EXPECT_EQ(rendered.image.max_abs_diff(whole.image), 0.0f);
+  EXPECT_EQ(staged.raster_model_ms, whole.raster_model_ms);
+}
+
 TEST(Device, PipelinedIntervalIsMaxOfStages) {
   const core::GauRastDevice device;
   const auto frame = device.render(device_scene(), scene::default_camera({}, 96, 72));

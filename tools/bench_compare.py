@@ -20,11 +20,15 @@ is the report's *shape*:
   * every micro benchmark name in the baseline still reported (a silently
     dropped benchmark is how perf trajectories rot),
   * the derived headline metrics still computed (raster_fast_speedup,
-    wire_relative_throughput, routed_relative_throughput,
+    raster_hw_model_overhead, wire_relative_throughput, routed_relative_throughput,
     faulted_relative_throughput,
     faulted_deadline_hit_rate, faulted_p99_ms,
     budgeted_relative_throughput, budgeted_hit_rate,
-    budgeted_resident_under_budget).
+    budgeted_resident_under_budget),
+  * the one same-run value gate: micro.raster_hw_model_overhead (the GauRast
+    functional model's median over the reference kernel's, both timed in the
+    same run) is at most 1.0 — the model renders bit-identical images, so it
+    must not be slower than the kernel it matches.
 
 It also writes an informational current/baseline ratio table (markdown) to
 --summary, or to $GITHUB_STEP_SUMMARY when set, or stdout — so every CI run
@@ -66,6 +70,11 @@ KNOWN_SCHEMAS = {
     "faults": {"gaurast-bench-service-faults/v1"},
     "scene_store": {"gaurast-bench-service-scenes/v1"},
 }
+
+
+# raster_hw_model / raster_reference medians from one run. Above 1.0 the
+# functional model costs more than the software kernel it matches bit for bit.
+MAX_HW_MODEL_OVERHEAD = 1.0
 
 
 def unknown_schema_errors(label, report):
@@ -145,6 +154,7 @@ def check_shape(baseline, current):
 
     derived_expectations = (
         ("micro", "raster_fast_speedup"),
+        ("micro", "raster_hw_model_overhead"),
         ("wire", "wire_relative_throughput"),
         ("fleet", "routed_relative_throughput"),
         ("faults", "faulted_relative_throughput"),
@@ -161,6 +171,16 @@ def check_shape(baseline, current):
             section, {}
         ).get("derived", {}):
             errors.append(f"derived metric '{section}.{key}' no longer reported")
+
+    overhead = current.get("micro", {}).get("derived", {}).get(
+        "raster_hw_model_overhead"
+    )
+    if overhead is not None and overhead > MAX_HW_MODEL_OVERHEAD:
+        errors.append(
+            f"micro.raster_hw_model_overhead {overhead:.3f} > "
+            f"{MAX_HW_MODEL_OVERHEAD}: the hardware model is slower than the "
+            "reference kernel it is bit-identical to"
+        )
     return errors
 
 
@@ -195,6 +215,7 @@ def ratio_table(baseline, current):
     for section, key in (
         ("micro", "raster_fast_speedup"),
         ("micro", "sort_parallel_speedup"),
+        ("micro", "raster_hw_model_overhead"),
         ("wire", "wire_relative_throughput"),
         ("fleet", "routed_relative_throughput"),
         ("faults", "faulted_relative_throughput"),
