@@ -18,7 +18,12 @@
 //                "median_ms":...,"min_ms":...,"max_ms":...,
 //                "stddev_ms":...}, ...],
 //    "derived":{"raster_fast_speedup":R, "sort_parallel_speedup":R,
-//               "raster_mt_speedup":R, "raster_hw_model_overhead":R}}
+//               "raster_mt_speedup":R, "raster_hw_model_overhead":R},
+//    "raster_fast_path":"avx"|"sse2"|"portable"}
+//
+// raster_fast_path names the SIMD path the fast kernel dispatched to on
+// this host; raster_fast_speedup is only comparable between reports that
+// name the same path.
 //
 // raster_hw_model_overhead is raster_hw_model's median over
 // raster_reference's from the same run: the GauRast functional model
@@ -280,9 +285,12 @@ int main(int argc, char** argv) {
                      format_time_ms(r.stddev_ms)});
     }
     table.print(std::cout);
+    const char* raster_fast_path = pipeline::detail::to_string(
+        pipeline::detail::dispatched_fast_raster_path());
     if (raster_fast_speedup > 0.0) {
-      std::cout << "Raster fast-vs-reference speedup (single thread, median): "
-                << format_ratio(raster_fast_speedup) << '\n';
+      std::cout << "Raster fast-vs-reference speedup (single thread, median, "
+                << raster_fast_path
+                << " path): " << format_ratio(raster_fast_speedup) << '\n';
     }
     if (raster_hw_model_overhead > 0.0) {
       std::cout << "Hardware model vs reference kernel (single thread, "
@@ -316,7 +324,8 @@ int main(int argc, char** argv) {
            << json_number(sort_parallel_speedup)
            << ",\"raster_mt_speedup\":" << json_number(raster_mt_speedup)
            << ",\"raster_hw_model_overhead\":"
-           << json_number(raster_hw_model_overhead) << "}}";
+           << json_number(raster_hw_model_overhead)
+           << "},\"raster_fast_path\":\"" << raster_fast_path << "\"}";
       if (json_path == "-") {
         std::cout << json.str() << '\n';
       } else {

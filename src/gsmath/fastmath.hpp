@@ -13,9 +13,9 @@
 
 namespace gaurast {
 
-/// Pixels per row batch in the fast raster kernel. Lanes are independent
-/// scalar pixels laid out for auto-vectorization; 8 matches one AVX float
-/// register and divides every supported tile size (8/16/32/64).
+/// Pixels per row batch in the fast raster kernel: the width of its explicit
+/// SIMD lanes (one AVX register or two SSE2 registers of floats) and of its
+/// 8-bit lane masks. Divides every supported tile size (8/16/32/64).
 inline constexpr int kRasterLaneWidth = 8;
 
 /// Absolute slack (in Gaussian-power space, i.e. log-alpha units) subtracted

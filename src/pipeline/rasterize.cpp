@@ -110,17 +110,13 @@ void raster_span_reference(const std::vector<Splat2D>& splats,
 
 }  // namespace detail
 
-Image rasterize(const std::vector<Splat2D>& splats, const TileWorkload& work,
-                const BlendParams& params, RasterStats* stats, int num_threads,
-                RasterKernel kernel) {
-  Image image(work.grid.width, work.grid.height);
-  rasterize_into(image, splats, work, params, stats, num_threads, kernel);
-  return image;
-}
+namespace {
 
-void rasterize_into(Image& image, const std::vector<Splat2D>& splats,
-                    const TileWorkload& work, const BlendParams& params,
-                    RasterStats* stats, int num_threads, RasterKernel kernel) {
+/// rasterize_into() body; `path` is the fast kernel's code path.
+void rasterize_on(Image& image, const std::vector<Splat2D>& splats,
+                  const TileWorkload& work, const BlendParams& params,
+                  RasterStats* stats, int num_threads, RasterKernel kernel,
+                  detail::FastRasterPath path) {
   GAURAST_CHECK(num_threads >= 1);
   const TileGrid& grid = work.grid;
   GAURAST_CHECK(image.width() == grid.width && image.height() == grid.height);
@@ -140,8 +136,8 @@ void rasterize_into(Image& image, const std::vector<Splat2D>& splats,
   const auto span = [&](std::uint32_t begin, std::uint32_t end,
                         RasterStats* local) {
     if (kernel == RasterKernel::kFast) {
-      detail::raster_span_fast(splats, work, params, cutoffs.data(), begin,
-                               end, image, local);
+      detail::raster_span_fast(path, splats, work, params, cutoffs.data(),
+                               begin, end, image, local);
     } else {
       detail::raster_span_reference(splats, work, params, begin, end, image,
                                     local);
@@ -184,6 +180,34 @@ void rasterize_into(Image& image, const std::vector<Splat2D>& splats,
     }
     *stats = std::move(merged);
   }
+}
+
+}  // namespace
+
+Image rasterize(const std::vector<Splat2D>& splats, const TileWorkload& work,
+                const BlendParams& params, RasterStats* stats, int num_threads,
+                RasterKernel kernel) {
+  Image image(work.grid.width, work.grid.height);
+  rasterize_into(image, splats, work, params, stats, num_threads, kernel);
+  return image;
+}
+
+void rasterize_into(Image& image, const std::vector<Splat2D>& splats,
+                    const TileWorkload& work, const BlendParams& params,
+                    RasterStats* stats, int num_threads, RasterKernel kernel) {
+  rasterize_on(image, splats, work, params, stats, num_threads, kernel,
+               detail::dispatched_fast_raster_path());
+}
+
+Image detail::rasterize_fast(FastRasterPath path,
+                             const std::vector<Splat2D>& splats,
+                             const TileWorkload& work,
+                             const BlendParams& params, RasterStats* stats,
+                             int num_threads) {
+  Image image(work.grid.width, work.grid.height);
+  rasterize_on(image, splats, work, params, stats, num_threads,
+               RasterKernel::kFast, path);
+  return image;
 }
 
 }  // namespace gaurast::pipeline

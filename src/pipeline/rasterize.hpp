@@ -20,10 +20,12 @@ namespace gaurast::pipeline {
 /// kReference is the scalar oracle: per-pixel front-to-back blending exactly
 /// as the paper's CUDA kernel (and the GauRast PE datapath) computes it.
 /// kFast is the optimized host kernel: it stages each tile's splats once
-/// into SoA scratch arrays, walks pixels in fixed-width row batches the
-/// compiler can auto-vectorize, and skips exp() for pairs provably below
-/// the blend threshold — while remaining bit-identical to kReference
-/// (enforced by the raster_fast_test golden matrix).
+/// into SoA scratch arrays and walks pixels in 8-lane row batches with
+/// explicit SIMD (SSE2, or AVX where the host has it, picked once per
+/// process). Per splat, vector lane masks reject terminated lanes and pairs
+/// provably below the blend threshold; only the surviving lanes run the
+/// scalar exp() and blend. It stays bit-identical to kReference on every
+/// dispatched path (enforced by the raster_fast_test golden matrix).
 enum class RasterKernel {
   kReference,
   kFast,
@@ -110,16 +112,37 @@ void raster_span_reference(const std::vector<Splat2D>& splats,
                            std::uint32_t tile_begin, std::uint32_t tile_end,
                            Image& image, RasterStats* stats);
 
-/// Fast kernel over tiles [tile_begin, tile_end); bit-identical images and
-/// identical stats totals to raster_span_reference. Uses the calling
-/// thread's RasterScratch. `splat_cutoffs` holds one precomputed
+/// The fast kernel's row-batch code paths: one 8-lane kernel body compiled
+/// for the x86-64 SSE2 baseline, for AVX, or as plain per-lane code on other
+/// architectures. All are bit-identical to the reference kernel.
+enum class FastRasterPath { kPortable, kSse2, kAvx };
+
+/// "portable" | "sse2" | "avx".
+const char* to_string(FastRasterPath path);
+
+/// The paths this host can execute, the one rasterize() dispatches to last.
+std::vector<FastRasterPath> supported_fast_raster_paths();
+
+/// The path RasterKernel::kFast runs on, picked once per process.
+FastRasterPath dispatched_fast_raster_path();
+
+/// Fast kernel over tiles [tile_begin, tile_end) on `path`; bit-identical
+/// images and identical stats totals to raster_span_reference. Uses the
+/// calling thread's RasterScratch. `splat_cutoffs` holds one precomputed
 /// gsmath::alpha_cutoff_power value per splat (computed once per frame by
-/// rasterize(), not per duplicated tile instance).
-void raster_span_fast(const std::vector<Splat2D>& splats,
+/// rasterize(), not per duplicated tile instance). Throws gaurast::Error
+/// when the host cannot run `path`.
+void raster_span_fast(FastRasterPath path, const std::vector<Splat2D>& splats,
                       const TileWorkload& work, const BlendParams& params,
                       const float* splat_cutoffs, std::uint32_t tile_begin,
                       std::uint32_t tile_end, Image& image,
                       RasterStats* stats);
+
+/// rasterize() with RasterKernel::kFast forced onto `path` instead of the
+/// dispatched one, so tests can hold every path to the reference kernel.
+Image rasterize_fast(FastRasterPath path, const std::vector<Splat2D>& splats,
+                     const TileWorkload& work, const BlendParams& params,
+                     RasterStats* stats = nullptr, int num_threads = 1);
 }  // namespace detail
 
 /// Rasterizes the sorted tile workload over all pixels. Mirrors the

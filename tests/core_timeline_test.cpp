@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "common/error.hpp"
 #include "common/prng.hpp"
 #include "core/detailed_sim.hpp"
@@ -119,6 +121,11 @@ struct ValidationCase {
   double pair_spread;  ///< lognormal sigma of per-tile loads
   double bytes_per_cycle;
 };
+
+// gtest prints the parameter into every discovered test name; its default
+// dump of the struct's bytes includes the `name` pointer, which changes from
+// build to build.
+void PrintTo(const ValidationCase& vc, std::ostream* os) { *os << vc.name; }
 
 class TimelineValidationTest
     : public ::testing::TestWithParam<ValidationCase> {};

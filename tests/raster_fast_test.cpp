@@ -2,14 +2,16 @@
 // the parallel Step-2 binning path: both must be bit-identical to their
 // serial/reference oracles — same images, same stats totals, same
 // TileWorkload — across tile sizes, culling modes, stats modes and thread
-// counts. This is the contract that lets the fast paths replace the
-// reference implementations everywhere without weakening the repo's
+// counts, and for the fast kernel on every SIMD path the host can run. This
+// is the contract that lets the fast paths replace the reference
+// implementations everywhere without weakening the repo's
 // software-vs-hardware validation story.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
@@ -45,6 +47,45 @@ void expect_stats_equal(const RasterStats& a, const RasterStats& b) {
   }
 }
 
+/// Bitwise image equality: stricter than max_abs_diff() == 0, which cannot
+/// tell -0.0f from 0.0f or see a NaN.
+void expect_bit_identical(const Image& a, const Image& b) {
+  ASSERT_EQ(a.width(), b.width());
+  ASSERT_EQ(a.height(), b.height());
+  EXPECT_EQ(std::memcmp(a.pixels().data(), b.pixels().data(),
+                        a.pixels().size() * sizeof(Vec3f)),
+            0);
+}
+
+/// Runs the fast kernel on every path the host supports, at each thread
+/// count, stats on and off, and holds each run to the reference kernel's
+/// image and stats totals.
+void expect_fast_paths_match(const std::vector<Splat2D>& splats,
+                             const TileWorkload& work,
+                             const BlendParams& params,
+                             const std::vector<int>& thread_counts = {1}) {
+  RasterStats ref_stats;
+  const Image reference = rasterize(splats, work, params, &ref_stats, 1,
+                                    RasterKernel::kReference);
+  for (const detail::FastRasterPath path :
+       detail::supported_fast_raster_paths()) {
+    for (const int threads : thread_counts) {
+      SCOPED_TRACE(std::string("path=") + detail::to_string(path) +
+                   " threads=" + std::to_string(threads));
+      RasterStats fast_stats;
+      expect_bit_identical(detail::rasterize_fast(path, splats, work, params,
+                                                  &fast_stats, threads),
+                           reference);
+      expect_stats_equal(fast_stats, ref_stats);
+      // Stats off: the zero-bookkeeping instantiation renders the same
+      // image.
+      expect_bit_identical(
+          detail::rasterize_fast(path, splats, work, params, nullptr, threads),
+          reference);
+    }
+  }
+}
+
 void expect_workloads_equal(const TileWorkload& a, const TileWorkload& b) {
   ASSERT_EQ(a.instances.size(), b.instances.size());
   for (std::size_t i = 0; i < a.instances.size(); ++i) {
@@ -62,8 +103,9 @@ void expect_workloads_equal(const TileWorkload& a, const TileWorkload& b) {
 // ------------------------------------------------- Fast kernel golden --
 
 /// The acceptance matrix: tile sizes {8,16,32,64} x both culling modes x
-/// stats {on,off} x 1..8 threads, every cell bit-identical to the
-/// reference kernel (image) with exactly matching stats totals.
+/// stats {on,off} x 1..8 threads x every SIMD path, every cell
+/// bit-identical to the reference kernel (image) with exactly matching
+/// stats totals.
 TEST(FastKernelGolden, MatchesReferenceAcrossMatrix) {
   const auto gscene = small_scene();
   const auto cam = test_camera();
@@ -75,30 +117,48 @@ TEST(FastKernelGolden, MatchesReferenceAcrossMatrix) {
       config.culling = culling;
       const GaussianRenderer renderer(config);
       const FrameResult prep = renderer.prepare(gscene, cam);
-      RasterStats ref_stats;
-      const Image reference =
-          rasterize(prep.splats, prep.workload, config.blend, &ref_stats, 1,
-                    RasterKernel::kReference);
-      for (int threads = 1; threads <= 8; ++threads) {
-        SCOPED_TRACE("tile=" + std::to_string(tile_size) + " culling=" +
-                     std::to_string(static_cast<int>(culling)) +
-                     " threads=" + std::to_string(threads));
-        // Stats on: image and every counter must match.
-        RasterStats fast_stats;
-        const Image with_stats =
-            rasterize(prep.splats, prep.workload, config.blend, &fast_stats,
-                      threads, RasterKernel::kFast);
-        EXPECT_EQ(with_stats.max_abs_diff(reference), 0.0f);
-        expect_stats_equal(fast_stats, ref_stats);
-        // Stats off: the zero-bookkeeping instantiation renders the same
-        // image.
-        const Image without_stats =
-            rasterize(prep.splats, prep.workload, config.blend, nullptr,
-                      threads, RasterKernel::kFast);
-        EXPECT_EQ(without_stats.max_abs_diff(reference), 0.0f);
-      }
+      SCOPED_TRACE("tile=" + std::to_string(tile_size) + " culling=" +
+                   std::to_string(static_cast<int>(culling)));
+      expect_fast_paths_match(prep.splats, prep.workload, config.blend,
+                              {1, 2, 3, 4, 5, 6, 7, 8});
     }
   }
+}
+
+/// A width that is not a multiple of the 8-lane batch leaves a partial
+/// batch (lanes < 8) at the right edge of every tile row that reaches it.
+TEST(FastKernelGolden, PartialLaneBatchesMatch) {
+  const auto gscene = small_scene(1500, 7);
+  const auto cam = test_camera(83, 61);
+  for (const int tile_size : {8, 16, 32, 64}) {
+    RendererConfig config;
+    config.tile_size = tile_size;
+    const FrameResult prep = GaussianRenderer(config).prepare(gscene, cam);
+    SCOPED_TRACE("tile=" + std::to_string(tile_size));
+    expect_fast_paths_match(prep.splats, prep.workload, config.blend, {1, 3});
+  }
+}
+
+TEST(FastKernel, DispatchesToTheLastSupportedPath) {
+  const std::vector<detail::FastRasterPath> paths =
+      detail::supported_fast_raster_paths();
+  ASSERT_FALSE(paths.empty());
+  EXPECT_EQ(detail::dispatched_fast_raster_path(), paths.back());
+#if defined(__x86_64__)
+  // SSE2 is the x86-64 baseline; the plain per-lane path is for other
+  // architectures and refuses to run here.
+  EXPECT_EQ(paths.front(), detail::FastRasterPath::kSse2);
+  std::vector<Splat2D> splats(1);
+  splats[0].mean = {4.0f, 4.0f};
+  splats[0].radius = 4.0f;
+  splats[0].depth = 1.0f;
+  const TileWorkload work = sort_splats(splats, TileGrid{16, 16, 16});
+  EXPECT_THROW(detail::rasterize_fast(detail::FastRasterPath::kPortable,
+                                      splats, work, BlendParams{}),
+               Error);
+#else
+  EXPECT_EQ(paths.front(), detail::FastRasterPath::kPortable);
+#endif
 }
 
 TEST(FastKernelGolden, RendererLevelSelectionIsBitExact) {
@@ -111,7 +171,7 @@ TEST(FastKernelGolden, RendererLevelSelectionIsBitExact) {
   const FrameResult a =
       GaussianRenderer(reference_config).render(gscene, cam);
   const FrameResult b = GaussianRenderer(fast_config).render(gscene, cam);
-  EXPECT_EQ(a.image.max_abs_diff(b.image), 0.0f);
+  expect_bit_identical(a.image, b.image);
   expect_stats_equal(a.raster_stats, b.raster_stats);
 }
 
@@ -130,23 +190,20 @@ TEST(FastKernelGolden, TerminationHeavyStackMatches) {
   }
   TileGrid grid{16, 48, 48};
   const TileWorkload work = sort_splats(splats, grid);
-  RasterStats ref_stats, fast_stats;
-  const Image a =
-      rasterize(splats, work, BlendParams{}, &ref_stats, 1,
-                RasterKernel::kReference);
-  const Image b = rasterize(splats, work, BlendParams{}, &fast_stats, 1,
-                            RasterKernel::kFast);
+  RasterStats ref_stats;
+  rasterize(splats, work, BlendParams{}, &ref_stats, 1,
+            RasterKernel::kReference);
   EXPECT_GT(ref_stats.pixels_terminated, 0u);
-  EXPECT_EQ(a.max_abs_diff(b), 0.0f);
-  expect_stats_equal(fast_stats, ref_stats);
+  expect_fast_paths_match(splats, work, BlendParams{});
 }
 
 /// Non-default blend parameters exercise every discard branch: zero
 /// alpha_min (where even guarded alpha == 0 pairs blend), disabled early
 /// termination, an opacity exactly at the blend threshold, and a non-black
-/// background.
+/// background. The indefinite conic of splat 3 gives positive powers, so
+/// the numerical guard fires.
 TEST(FastKernelGolden, EdgeBlendParamsMatch) {
-  std::vector<Splat2D> splats(3);
+  std::vector<Splat2D> splats(4);
   splats[0].mean = {10.0f, 10.0f};
   splats[0].conic = {0.08f, 0.01f, 0.06f};
   splats[0].opacity = 1.0f / 255.0f;  // exactly alpha_min
@@ -165,6 +222,12 @@ TEST(FastKernelGolden, EdgeBlendParamsMatch) {
   splats[2].color = {1.0f, 1.0f, 1.0f};
   splats[2].depth = 3.0f;
   splats[2].radius = 6.0f;
+  splats[3].mean = {12.0f, 18.0f};
+  splats[3].conic = {0.02f, 0.3f, 0.02f};
+  splats[3].opacity = 0.7f;
+  splats[3].color = {0.3f, 0.3f, 0.9f};
+  splats[3].depth = 4.0f;
+  splats[3].radius = 14.0f;
   TileGrid grid{16, 32, 32};
   const TileWorkload work = sort_splats(splats, grid);
 
@@ -175,13 +238,7 @@ TEST(FastKernelGolden, EdgeBlendParamsMatch) {
   cases[3].background = {0.25f, 0.5f, 0.75f};
   for (std::size_t c = 0; c < cases.size(); ++c) {
     SCOPED_TRACE("case " + std::to_string(c));
-    RasterStats ref_stats, fast_stats;
-    const Image a = rasterize(splats, work, cases[c], &ref_stats, 1,
-                              RasterKernel::kReference);
-    const Image b =
-        rasterize(splats, work, cases[c], &fast_stats, 1, RasterKernel::kFast);
-    EXPECT_EQ(a.max_abs_diff(b), 0.0f);
-    expect_stats_equal(fast_stats, ref_stats);
+    expect_fast_paths_match(splats, work, cases[c]);
   }
 }
 
@@ -201,13 +258,7 @@ TEST(FastKernelGolden, OverflowedPowerWithZeroAlphaMinMatches) {
   const TileWorkload work = sort_splats(splats, grid);
   BlendParams params;
   params.alpha_min = 0.0f;
-  RasterStats ref_stats, fast_stats;
-  const Image a = rasterize(splats, work, params, &ref_stats, 1,
-                            RasterKernel::kReference);
-  const Image b =
-      rasterize(splats, work, params, &fast_stats, 1, RasterKernel::kFast);
-  EXPECT_EQ(a.max_abs_diff(b), 0.0f);
-  expect_stats_equal(fast_stats, ref_stats);
+  expect_fast_paths_match(splats, work, params);
 }
 
 /// Regression: a NaN opacity (unsanitized scene input) blends at alpha_max
@@ -223,14 +274,11 @@ TEST(FastKernelGolden, NanOpacityMatchesReference) {
   splats[0].radius = 10.0f;
   TileGrid grid{16, 32, 32};
   const TileWorkload work = sort_splats(splats, grid);
-  RasterStats ref_stats, fast_stats;
-  const Image a = rasterize(splats, work, BlendParams{}, &ref_stats, 1,
-                            RasterKernel::kReference);
-  const Image b = rasterize(splats, work, BlendParams{}, &fast_stats, 1,
-                            RasterKernel::kFast);
+  RasterStats ref_stats;
+  rasterize(splats, work, BlendParams{}, &ref_stats, 1,
+            RasterKernel::kReference);
   EXPECT_GT(ref_stats.pairs_blended, 0u);
-  EXPECT_EQ(a.max_abs_diff(b), 0.0f);
-  expect_stats_equal(fast_stats, ref_stats);
+  expect_fast_paths_match(splats, work, BlendParams{});
 }
 
 TEST(FastKernel, ScratchArenaIsReusedAcrossFrames) {

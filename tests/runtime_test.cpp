@@ -52,6 +52,39 @@ ServiceConfig with_scenes(ServiceConfig config,
   return config;
 }
 
+/// Backend whose render blocks on a caller-controlled gate: holds a worker
+/// busy for exactly as long as a test needs, however fast frames render.
+class GatedBackend : public engine::RenderBackend {
+ public:
+  explicit GatedBackend(std::shared_future<void> gate)
+      : gate_(std::move(gate)) {}
+  std::string name() const override { return "gated"; }
+  std::string describe() const override { return "test double"; }
+  engine::Capabilities capabilities() const override {
+    return engine::SoftwareBackend{}.capabilities();
+  }
+  engine::FrameOutput render(const scene::GaussianScene& scene,
+                             const scene::Camera& camera,
+                             const engine::FrameOptions& options)
+      const override {
+    entered_.fetch_add(1, std::memory_order_release);
+    gate_.wait();
+    return engine::SoftwareBackend{}.render(scene, camera, options);
+  }
+
+  /// Blocks until `count` render() calls have started, i.e. that many
+  /// workers have dequeued a job and parked on the gate.
+  void wait_until_rendering(int count) const {
+    while (entered_.load(std::memory_order_acquire) < count) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+
+ private:
+  std::shared_future<void> gate_;
+  mutable std::atomic<int> entered_{0};
+};
+
 /// Renders `cameras` through a fresh service and returns the images in
 /// submission order (futures keep the request association regardless of
 /// completion order).
@@ -256,25 +289,27 @@ TEST(RenderService, SceneCacheLoadsEachKeyOnce) {
 }
 
 TEST(RenderService, TrySubmitShedsLoadOnFullQueue) {
+  std::promise<void> gate;
+  const auto gated = std::make_shared<GatedBackend>(gate.get_future().share());
   ServiceConfig config;
   config.workers = 1;
   config.queue_capacity = 1;
-  config.backend = "sw";
+  config.backend_instance = gated;
   RenderService service(with_scenes(
-      config, [](const std::string&) { return small_scene(30000, 11); }));
-  // A deliberately heavy frame pins the worker for long enough that the
-  // immediate follow-up submissions observe worker-busy + queue-full.
-  const ScenePtr heavy = service.scene("heavy");
-  const std::vector<scene::Camera> cams = test_cameras(1, 320, 240);
+      config, [](const std::string&) { return small_scene(); }));
+  // The first frame parks the worker on the gate, so the follow-up
+  // submissions observe worker-busy + queue-full however fast it renders.
+  const ScenePtr scene = service.scene("s");
+  const std::vector<scene::Camera> cams = test_cameras(1);
   std::vector<std::future<JobResult>> futures;
-  futures.push_back(service.submit({heavy, cams[0]}));
-  // The first request is either already on the worker or still queued; with
-  // capacity 1, at most one more immediate submission can be accepted
-  // before the bounded queue must reject (the heavy frame far outlasts
-  // these sub-millisecond attempts).
+  futures.push_back(service.submit({scene, cams[0]}));
+  gated->wait_until_rendering(1);
+  // The first request is on the worker; with capacity 1, at most one more
+  // immediate submission can be accepted before the bounded queue must
+  // reject.
   bool saw_rejection = false;
   for (int i = 0; i < 4 && !saw_rejection; ++i) {
-    auto attempt = service.try_submit({heavy, cams[0]});
+    auto attempt = service.try_submit({scene, cams[0]});
     if (!attempt) {
       saw_rejection = true;
     } else {
@@ -282,6 +317,7 @@ TEST(RenderService, TrySubmitShedsLoadOnFullQueue) {
     }
   }
   EXPECT_TRUE(saw_rejection) << "bounded queue never rejected";
+  gate.set_value();
   for (auto& f : futures) f.get();
   EXPECT_GE(service.stats().rejected, 1u);
 }
@@ -352,27 +388,6 @@ TEST(RenderService, ShutdownWhileQueueFullDrainsEveryAcceptedJob) {
   // call shutdown() while all of it is in flight, and require that
   // shutdown completes every accepted job (values, not broken promises)
   // before returning.
-  class GatedBackend : public engine::RenderBackend {
-   public:
-    explicit GatedBackend(std::shared_future<void> gate)
-        : gate_(std::move(gate)) {}
-    std::string name() const override { return "gated"; }
-    std::string describe() const override { return "test double"; }
-    engine::Capabilities capabilities() const override {
-      return engine::SoftwareBackend{}.capabilities();
-    }
-    engine::FrameOutput render(const scene::GaussianScene& scene,
-                               const scene::Camera& camera,
-                               const engine::FrameOptions& options)
-        const override {
-      gate_.wait();
-      return engine::SoftwareBackend{}.render(scene, camera, options);
-    }
-
-   private:
-    std::shared_future<void> gate_;
-  };
-
   std::promise<void> gate;
   ServiceConfig config;
   config.workers = 1;

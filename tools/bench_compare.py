@@ -25,10 +25,15 @@ is the report's *shape*:
     faulted_deadline_hit_rate, faulted_p99_ms,
     budgeted_relative_throughput, budgeted_hit_rate,
     budgeted_resident_under_budget),
-  * the one same-run value gate: micro.raster_hw_model_overhead (the GauRast
-    functional model's median over the reference kernel's, both timed in the
-    same run) is at most 1.0 — the model renders bit-identical images, so it
-    must not be slower than the kernel it matches.
+  * two same-run value gates:
+    - micro.raster_hw_model_overhead (the GauRast functional model's median
+      over the reference kernel's, both timed in the same run) is at most
+      1.0 — the model renders bit-identical images, so it must not be slower
+      than the kernel it matches;
+    - micro.raster_fast_speedup (the reference kernel's median over the fast
+      kernel's, same run) is at least MIN_RASTER_FAST_SPEEDUP in a canonical
+      (non-quick) report, so a fast kernel that falls back to scalar lanes
+      fails. Quick reports skip this floor (see the constant).
 
 It also writes an informational current/baseline ratio table (markdown) to
 --summary, or to $GITHUB_STEP_SUMMARY when set, or stdout — so every CI run
@@ -75,6 +80,15 @@ KNOWN_SCHEMAS = {
 # raster_hw_model / raster_reference medians from one run. Above 1.0 the
 # functional model costs more than the software kernel it matches bit for bit.
 MAX_HW_MODEL_OVERHEAD = 1.0
+
+# raster_reference / raster_fast medians from one canonical bench_micro run
+# (20000 Gaussians at 320x240, repeat 5), on a noisy 4-vCPU x86-64 host:
+# the scalar lane loop the SIMD kernel replaced read 4.7-6.5x over 12 runs;
+# the SIMD kernel read 8.3-13.1x on the AVX path (12 runs) and 8.8-12.5x on
+# the SSE2 path (6 runs). The floor sits between the two spreads. Quick
+# reports (4000 Gaussians at 160x120, one repeat) time ~1 ms frames and
+# spread 5-13x before and 11-34x after, so no floor separates them there.
+MIN_RASTER_FAST_SPEEDUP = 7.5
 
 
 def unknown_schema_errors(label, report):
@@ -172,14 +186,25 @@ def check_shape(baseline, current):
         ).get("derived", {}):
             errors.append(f"derived metric '{section}.{key}' no longer reported")
 
-    overhead = current.get("micro", {}).get("derived", {}).get(
-        "raster_hw_model_overhead"
-    )
+    micro = current.get("micro", {})
+    overhead = micro.get("derived", {}).get("raster_hw_model_overhead")
     if overhead is not None and overhead > MAX_HW_MODEL_OVERHEAD:
         errors.append(
             f"micro.raster_hw_model_overhead {overhead:.3f} > "
             f"{MAX_HW_MODEL_OVERHEAD}: the hardware model is slower than the "
             "reference kernel it is bit-identical to"
+        )
+    speedup = micro.get("derived", {}).get("raster_fast_speedup")
+    if (
+        not current.get("quick", False)
+        and speedup is not None
+        and speedup < MIN_RASTER_FAST_SPEEDUP
+    ):
+        path = micro.get("raster_fast_path", "unknown")
+        errors.append(
+            f"micro.raster_fast_speedup {speedup:.3f} < "
+            f"{MIN_RASTER_FAST_SPEEDUP} on the {path} path: the fast kernel "
+            "is no faster than its scalar lane loop was"
         )
     return errors
 

@@ -57,6 +57,15 @@ Rules (see --list-rules):
                        else uses common::Half / common::round_to_half, so
                        rounding mode and NaN/Inf handling stay in one
                        reviewed place.
+  simd-confinement     Explicit SIMD (<*intrin.h> includes, _mm* intrinsics
+                       and __m64/__m128/__m256/__m512 types, vector_size
+                       lane types, and target("...") function attributes)
+                       is confined within src/ to
+                       src/pipeline/raster_fast.cpp, the one translation
+                       unit built with -ffp-contract=off. Elsewhere a
+                       contracted a*b + c (an FMA, rounded once) would
+                       silently change the bits the fast kernel must share
+                       with the reference kernel and the hardware model.
 
 A finding can be waived for one line with a trailing comment:
 
@@ -102,6 +111,10 @@ HALF_CONFINEMENT_EXEMPT_FILES = (
     "src/common/half.cpp",
     "src/scene/quantized.cpp",
 )
+
+# The one translation unit allowed to hold explicit SIMD code: the fast
+# raster kernel, compiled with -ffp-contract=off (src/pipeline/CMakeLists.txt).
+SIMD_CONFINEMENT_EXEMPT_FILES = ("src/pipeline/raster_fast.cpp",)
 
 # The single sanctioned construction site for engine backends.
 REGISTRY_SOURCE = "src/engine/registry.cpp"
@@ -214,6 +227,19 @@ FAULT_GETENV_RE = re.compile(r"(?<![\w.:>])(?:std\s*::\s*|::\s*)?getenv\s*\(")
 HALF_BITS_RE = re.compile(
     r"(?<![\w.:>])(?:::\s*)?(?:(?:gaurast\s*::\s*)?common\s*::\s*)?"
     r"(float_to_half_bits|half_bits_to_float)\s*\("
+)
+
+# Explicit SIMD spellings: x86 intrinsic headers (<immintrin.h>,
+# <emmintrin.h>, <xmmintrin.h>, ...), _mm/_mm256/_mm512 intrinsic calls,
+# the __m* register types, GCC/Clang vector_size lane types, and per-function
+# target attributes in both spellings. Matched on the scrubbed text, so a
+# target("avx") whose literal is blanked still shows as `target(`.
+SIMD_RE = re.compile(
+    r"#\s*include\s*<\s*(\w*intrin\.h)\s*>"
+    r"|\b(_mm(?:256|512)?_\w+)\s*\("
+    r"|\b(__m(?:64|128|256|512)[di]?)\b"
+    r"|\b(__attribute__\s*\(\(\s*(?:target|vector_size)\s*\()"
+    r"|(\[\[\s*gnu\s*::\s*(?:target|vector_size)\s*\()"
 )
 
 WAIVER_RE = re.compile(r"//\s*lint-invariants:\s*allow\(([a-z-]+(?:\s*,\s*[a-z-]+)*)\)")
@@ -465,6 +491,33 @@ def check_half_confinement(
 
 
 # --------------------------------------------------------------------------
+# Rule: simd-confinement
+# --------------------------------------------------------------------------
+
+
+def check_simd_confinement(
+    src: SourceFile, _all: list[SourceFile]
+) -> list[Finding]:
+    if not src.rel.startswith("src/") or src.rel in SIMD_CONFINEMENT_EXEMPT_FILES:
+        return []
+    findings = []
+    for m in SIMD_RE.finditer(src.scrubbed):
+        what = next(g for g in m.groups() if g is not None)
+        findings.append(
+            Finding(
+                src.path,
+                line_of(src.scrubbed, m.start()),
+                "simd-confinement",
+                f"explicit SIMD ({what}) outside "
+                "src/pipeline/raster_fast.cpp; only that file is built with "
+                "-ffp-contract=off, which keeps a*b + c from becoming an FMA "
+                "and changing bits the reference kernel must match",
+            )
+        )
+    return findings
+
+
+# --------------------------------------------------------------------------
 # Rule: check-in-kernel-loop
 # --------------------------------------------------------------------------
 
@@ -622,6 +675,11 @@ RULES: dict[str, tuple[str, RuleFn]] = {
     "half-confinement": (
         "raw fp16 bit conversions outside src/common/half and the quantizer",
         check_half_confinement,
+    ),
+    "simd-confinement": (
+        "explicit SIMD (intrinsics, vector types, target attributes) outside "
+        "src/pipeline/raster_fast.cpp",
+        check_simd_confinement,
     ),
     "check-in-kernel-loop": (
         "GAURAST_CHECK inside loop bodies in src/pipeline//src/gsmath/",

@@ -401,6 +401,69 @@ class HalfConfinementTest(unittest.TestCase):
         self.assertEqual(run({"src/runtime/legacy.cpp": body}), [])
 
 
+class SimdConfinementTest(unittest.TestCase):
+    def test_seeded_intrinsics_caught(self) -> None:
+        body = (
+            "#include <immintrin.h>\n"
+            "float sum(const float* p) {\n"
+            "  __m256 v = _mm256_loadu_ps(p);\n"
+            "  return _mm_cvtss_f32(_mm256_castps256_ps128(v));\n"
+            "}\n"
+        )
+        findings = run({"src/pipeline/rasterize.cpp": body})
+        self.assertEqual(rules_of(findings), ["simd-confinement"] * 5)
+        self.assertEqual([f.line for f in findings], [1, 3, 3, 4, 4])
+        self.assertIn("immintrin.h", findings[0].message)
+
+    def test_all_intrinsic_headers_caught(self) -> None:
+        body = "#include <emmintrin.h>\n#  include < xmmintrin.h >\n"
+        findings = run({"src/gsmath/conic.cpp": body})
+        self.assertEqual(rules_of(findings), ["simd-confinement"] * 2)
+
+    def test_target_attributes_and_vector_types_caught(self) -> None:
+        body = (
+            '__attribute__((target("avx2,fma"))) void f();\n'
+            '[[gnu::target("avx")]] void g();\n'
+            "typedef float v8 __attribute__((vector_size(32)));\n"
+        )
+        findings = run({"src/core/pe.cpp": body})
+        self.assertEqual(rules_of(findings), ["simd-confinement"] * 3)
+        self.assertEqual([f.line for f in findings], [1, 2, 3])
+
+    def test_fast_raster_kernel_exempt(self) -> None:
+        body = (
+            "#include <xmmintrin.h>\n"
+            '__attribute__((target("avx"))) void span();\n'
+            "int bits(__m128 v) { return _mm_movemask_ps(v); }\n"
+        )
+        self.assertEqual(run({"src/pipeline/raster_fast.cpp": body}), [])
+
+    def test_lookalike_names_and_outside_src_ignored(self) -> None:
+        body = (
+            "int my_mm_count(int x);\n"
+            "int __m128_count = 0;\n"
+            "void retarget(int target);\n"
+        )
+        self.assertEqual(run({"src/common/stats.cpp": body}), [])
+        # Tests and tools may use intrinsics freely (outside the scan).
+        self.assertEqual(
+            run({"tests/simd_probe.cpp": "#include <immintrin.h>\n"}), []
+        )
+
+    def test_comment_and_string_ignored(self) -> None:
+        body = (
+            "// _mm256_add_ps(a, b) would contract under FMA\n"
+            'auto doc = "#include <immintrin.h>";\n'
+        )
+        self.assertEqual(run({"src/pipeline/sort.cpp": body}), [])
+
+    def test_waiver_suppresses(self) -> None:
+        body = (
+            "#include <xmmintrin.h>  // lint-invariants: allow(simd-confinement)\n"
+        )
+        self.assertEqual(run({"src/common/stats.cpp": body}), [])
+
+
 class KernelLoopTest(unittest.TestCase):
     def test_seeded_violation_caught(self) -> None:
         body = (
