@@ -61,7 +61,8 @@ struct RouterStatsSnapshot {
   /// RetryPolicy-approved retries performed (every re-route after a failed
   /// forward; a subset also counts in `failovers` once re-enqueued).
   std::uint64_t retries = 0;
-  /// Router-observed end-to-end latency per forwarded request (ms).
+  /// Router-observed end-to-end latency per forwarded request (ms). Both
+  /// vectors hold only the newest common::SampleRing::kCapacity samples.
   std::vector<double> latency_ms;
   /// Route overhead per kOk forward: router-observed round trip minus the
   /// shard-reported latency_ms (ms, clamped at 0).

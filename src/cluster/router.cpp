@@ -12,21 +12,6 @@ namespace gaurast::cluster {
 
 namespace {
 
-/// Latency/overhead sample ring bound: a long-running router must not grow
-/// its stats arrays without limit, and 64k samples is plenty for stable
-/// percentiles.
-constexpr std::size_t kMaxSamples = 65536;
-
-void push_sample(std::vector<double>& samples, std::size_t& slot,
-                 double value) {
-  if (samples.size() < kMaxSamples) {
-    samples.push_back(value);
-  } else {
-    samples[slot] = value;
-    slot = (slot + 1) % kMaxSamples;
-  }
-}
-
 double ms_since(std::chrono::steady_clock::time_point then) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - then)
@@ -133,10 +118,7 @@ void Router::on_frame(std::uint64_t conn_id, const net::FrameHeader& header,
     case net::MessageType::kRenderRequest: {
       Job job;
       job.conn_id = conn_id;
-      // The frame's version byte picks the payload decode: a v1 request
-      // has no deadline_ms field and decodes with no deadline.
-      job.wire = net::deserialize_render_request(payload, header.payload_size,
-                                                 header.version);
+      job.wire = net::deserialize_render_request(payload, header.payload_size);
       job.admitted = Clock::now();
       // Deadline admission mirrors net::Server — pin the absolute deadline
       // once at receipt; the rest of the router only compares against it.
@@ -439,10 +421,8 @@ std::optional<FailureKind> Router::forward(
     switch (resp.status) {
       case net::RenderStatus::kOk:
         ++counters_.routed_ok;
-        push_sample(counters_.latency_ms, latency_slot_,
-                    ms_since(job.admitted));
-        push_sample(counters_.route_overhead_ms, overhead_slot_,
-                    std::max(0.0, round_trip_ms - resp.latency_ms));
+        latency_ms_.push(ms_since(job.admitted));
+        route_overhead_ms_.push(std::max(0.0, round_trip_ms - resp.latency_ms));
         break;
       case net::RenderStatus::kOverloaded:
         ++counters_.overloaded;
@@ -539,7 +519,10 @@ std::string Router::fleet_stats_json() {
 
 RouterStatsSnapshot Router::stats_snapshot() const {
   common::MutexLock lock(stats_mutex_);
-  return counters_;
+  RouterStatsSnapshot snapshot = counters_;
+  snapshot.latency_ms = latency_ms_.samples();
+  snapshot.route_overhead_ms = route_overhead_ms_.samples();
+  return snapshot;
 }
 
 }  // namespace gaurast::cluster

@@ -218,10 +218,9 @@ FrameHeader decode_header(const std::uint8_t* data) {
     }());
   }
   const std::uint8_t version = r.u8();
-  if (version < kMinProtocolVersion || version > kProtocolVersion) {
+  if (version != kProtocolVersion) {
     throw ProtocolError("unsupported protocol version " +
                         std::to_string(version) + " (this peer speaks " +
-                        std::to_string(kMinProtocolVersion) + ".." +
                         std::to_string(kProtocolVersion) + ")");
   }
   const std::uint8_t type = r.u8();
@@ -235,7 +234,6 @@ FrameHeader decode_header(const std::uint8_t* data) {
   }
   FrameHeader header;
   header.type = static_cast<MessageType>(type);
-  header.version = version;
   header.payload_size = r.u32();
   if (header.payload_size > kMaxPayloadBytes) {
     throw ProtocolError("oversized frame payload (" +
@@ -259,14 +257,13 @@ std::vector<std::uint8_t> serialize(const RenderRequest& msg) {
   put_u32(payload, msg.flags);
   put_string(payload, msg.backend);
   put_string(payload, msg.kernel);
-  put_u32(payload, msg.deadline_ms);  // v2+
-  put_string(payload, msg.scene);     // v3+
+  put_u32(payload, msg.deadline_ms);
+  put_string(payload, msg.scene);
   return frame(MessageType::kRenderRequest, std::move(payload));
 }
 
 RenderRequest deserialize_render_request(const std::uint8_t* data,
-                                         std::size_t size,
-                                         std::uint8_t version) {
+                                         std::size_t size) {
   Reader r(data, size, "render-request");
   RenderRequest msg;
   msg.request_id = r.u64();
@@ -281,21 +278,14 @@ RenderRequest deserialize_render_request(const std::uint8_t* data,
   msg.flags = r.u32();
   msg.backend = r.string();
   msg.kernel = r.string();
-  // Fields appended by later versions: a v1 payload ends at kernel, a v2
-  // one adds deadline_ms, a v3 one adds the scene key. A payload truncated
-  // before a field its version promises is a loud ProtocolError.
-  if (version >= 2) {
-    msg.deadline_ms = r.u32();
-  }
-  if (version >= 3) {
-    msg.scene = r.string();
-  }
+  msg.deadline_ms = r.u32();
+  msg.scene = r.string();
   r.finish();
   if (msg.width <= 0 || msg.height <= 0) {
     throw ProtocolError("render-request image dimensions must be positive");
   }
-  // An explicit v3 scene key carries the scene identity itself;
-  // gaussian_count is only load-bearing for the derived v1/v2 addressing.
+  // An explicit scene key carries the scene identity itself;
+  // gaussian_count is only load-bearing for the derived key.
   if (msg.scene.empty() && msg.gaussian_count == 0) {
     throw ProtocolError("render-request gaussian_count must be positive");
   }

@@ -44,11 +44,8 @@ void Server::on_frame(std::uint64_t conn_id, const FrameHeader& header,
                       const std::uint8_t* payload) {
   switch (header.type) {
     case MessageType::kRenderRequest:
-      // The frame's version byte picks the payload decode: a v1 request
-      // has no deadline_ms field and decodes with no deadline.
       handle_render(conn_id,
-                    deserialize_render_request(payload, header.payload_size,
-                                               header.version));
+                    deserialize_render_request(payload, header.payload_size));
       return;
     case MessageType::kStatsRequest: {
       if (header.payload_size != 0) {

@@ -57,6 +57,7 @@
 // match exactly; the stats-off instantiation carries no accounting at all.
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -95,6 +96,14 @@ namespace {
 
 constexpr int kW = kRasterLaneWidth;
 static_assert(kW == 8, "lane masks are one 8-bit mask per row batch");
+
+/// Set lanes per lane mask, by table: the x86-64 baseline has no POPCNT, so
+/// std::popcount there is a libgcc call per use.
+constexpr auto kLaneCount = [] {
+  std::array<std::uint8_t, 1u << kW> n{};
+  for (unsigned m = 1; m < n.size(); ++m) n[m] = (m & 1u) + n[m >> 1];
+  return n;
+}();
 
 // The 8-lane adapters. The kernel body is written once with lane-wise
 // operators (lanes op lanes, lanes op scalar, comparisons giving a mask that
@@ -271,8 +280,8 @@ template <class Lanes, bool kCollectStats>
         if constexpr (kCollectStats) {
           const unsigned newly = lane_mask & ~live & ~counted;
           counted |= newly;
-          terminated += static_cast<unsigned>(std::popcount(newly));
-          evaluated += static_cast<unsigned>(std::popcount(live));
+          terminated += kLaneCount[newly];
+          evaluated += kLaneCount[live];
         }
         if (live == 0) break;
 

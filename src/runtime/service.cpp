@@ -144,7 +144,7 @@ void RenderService::record_completion(const JobResult& result) {
   ++completed_;
   queue_wait_sum_ms_ += result.queue_wait_ms;
   service_sum_ms_ += result.service_ms;
-  latencies_ms_.push_back(result.latency_ms);
+  latencies_ms_.push(result.latency_ms);
   last_completion_ = Clock::now();
 }
 
@@ -209,7 +209,7 @@ ServiceStats RenderService::stats() const {
     s.completed = completed_;
     s.rejected = rejected_;
     s.deadline_dropped = deadline_dropped_;
-    latencies = latencies_ms_;
+    latencies = latencies_ms_.samples();
     if (first_submit_) {
       window_begin = *first_submit_;
       window_end = last_completion_ ? *last_completion_ : Clock::now();

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "common/mutex.hpp"
+#include "common/sample_ring.hpp"
 #include "common/thread_annotations.hpp"
 #include "engine/backend.hpp"
 #include "engine/registry.hpp"
@@ -188,7 +189,8 @@ class RenderService {
   double queue_depth_sum_ GAURAST_GUARDED_BY(stats_mutex_) = 0.0;
   double queue_wait_sum_ms_ GAURAST_GUARDED_BY(stats_mutex_) = 0.0;
   double service_sum_ms_ GAURAST_GUARDED_BY(stats_mutex_) = 0.0;
-  std::vector<double> latencies_ms_ GAURAST_GUARDED_BY(stats_mutex_);
+  /// The newest completions' latencies (bounded; stats() copies them).
+  common::SampleRing latencies_ms_ GAURAST_GUARDED_BY(stats_mutex_);
   std::optional<Clock::time_point> first_submit_
       GAURAST_GUARDED_BY(stats_mutex_);
   std::optional<Clock::time_point> last_completion_

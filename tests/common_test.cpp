@@ -3,16 +3,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <vector>
 
 #include "common/chart.hpp"
 #include "common/cli.hpp"
 #include "common/error.hpp"
 #include "common/half.hpp"
 #include "common/prng.hpp"
+#include "common/sample_ring.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
 
@@ -239,6 +242,23 @@ TEST(Histogram, QuantileMonotone) {
 TEST(Histogram, RejectsInvalidConstruction) {
   EXPECT_THROW(Histogram(1.0, 1.0, 4), Error);
   EXPECT_THROW(Histogram(0.0, 1.0, 0), Error);
+}
+
+TEST(SampleRing, WrapsAtTheBoundKeepingTheNewestSamples) {
+  constexpr auto kCap = static_cast<int>(common::SampleRing::kCapacity);
+  common::SampleRing ring;
+  for (int i = 0; i < kCap; ++i) ring.push(i);
+  ASSERT_EQ(ring.samples().size(), common::SampleRing::kCapacity);
+  EXPECT_EQ(ring.samples().front(), 0.0);
+  EXPECT_EQ(ring.samples().back(), kCap - 1.0);
+  // Past the bound each push replaces the oldest sample; the size stays put.
+  for (int i = kCap; i < kCap + 10; ++i) ring.push(i);
+  std::vector<double> kept = ring.samples();
+  ASSERT_EQ(kept.size(), common::SampleRing::kCapacity);
+  std::sort(kept.begin(), kept.end());
+  for (std::size_t i = 0; i < kept.size(); ++i) {
+    ASSERT_EQ(kept[i], static_cast<double>(i + 10)) << i;
+  }
 }
 
 // --------------------------------------------------------------- Table --

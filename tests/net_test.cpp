@@ -1,7 +1,7 @@
 // Tests for the gaurast::net subsystem: wire-protocol round-trips and
 // malformed-frame rejection (truncated / oversized / bad-magic / wrong
-// version / trailing bytes), the v1/v2 version matrix for the appended
-// deadline_ms field, the server bridge onto RenderService (accept ->
+// version / trailing bytes), the refusal of retired v1/v2 frames, the
+// deadline_ms field round-trip, the server bridge onto RenderService (accept ->
 // render -> respond bit-identity against a direct submit), admission
 // control (a full queue yields an explicit
 // OVERLOADED wire response), the TimeoutError/ConnectionError client
@@ -259,6 +259,8 @@ TEST(Protocol, HeaderRejectsMalformedFrames) {
   EXPECT_THROW(decode_header(corrupted(0, 0xFF).data()), ProtocolError);
   EXPECT_THROW(decode_header(corrupted(4, kProtocolVersion + 1).data()),
                ProtocolError);  // unknown version
+  EXPECT_THROW(decode_header(corrupted(4, kProtocolVersion - 1).data()),
+               ProtocolError);  // retired version
   EXPECT_THROW(decode_header(corrupted(5, 0).data()), ProtocolError);
   EXPECT_THROW(decode_header(corrupted(5, 99).data()), ProtocolError);
   EXPECT_THROW(decode_header(corrupted(6, 1).data()), ProtocolError);
@@ -292,41 +294,22 @@ TEST(Protocol, DeadlineFieldVersionMatrix) {
   req.deadline_ms = 250;
   const auto frame = serialize(req);
   const FrameHeader header = decode_header(frame.data());
-  ASSERT_EQ(header.version, kProtocolVersion);
 
-  // v3 round-trips the appended deadline field (and the empty scene key:
+  // The deadline field round-trips (and the empty scene key:
   // sample_request addresses its scene via gaussian_count/seed).
-  EXPECT_EQ(deserialize_render_request(frame.data() + kHeaderBytes,
-                                       header.payload_size, header.version)
-                .deadline_ms,
-            250u);
+  const RenderRequest back = deserialize_render_request(
+      frame.data() + kHeaderBytes, header.payload_size);
+  EXPECT_EQ(back.deadline_ms, 250u);
+  EXPECT_TRUE(back.scene.empty());
 
-  // A v2 payload ends at `deadline_ms`: the same bytes minus the trailing
-  // scene string (4-byte length prefix, empty here), decoded as version 2.
-  const RenderRequest v2 = deserialize_render_request(
-      frame.data() + kHeaderBytes, header.payload_size - 4, 2);
-  EXPECT_EQ(v2.deadline_ms, 250u);
-  EXPECT_TRUE(v2.scene.empty());
-
-  // A v1 payload ends at `kernel`: minus the scene string and the
-  // deadline u32, decoded as version 1, the deadline takes the zero
-  // default — an old peer's frames keep decoding, it just cannot set one.
-  const RenderRequest v1 = deserialize_render_request(
-      frame.data() + kHeaderBytes, header.payload_size - 8, 1);
-  EXPECT_EQ(v1.deadline_ms, 0u);
-  EXPECT_EQ(v1.request_id, req.request_id);
-  EXPECT_EQ(v1.kernel, req.kernel);
-
-  // A payload truncated before a field its version promises is rejected
-  // loudly, as is an old-version payload carrying trailing bytes.
+  // A payload cut before its trailing fields (the scene string's 4-byte
+  // length prefix, then the deadline u32 too) is rejected loudly, never
+  // decoded with zero defaults.
   EXPECT_THROW(deserialize_render_request(frame.data() + kHeaderBytes,
-                                          header.payload_size - 8, 2),
+                                          header.payload_size - 4),
                ProtocolError);
   EXPECT_THROW(deserialize_render_request(frame.data() + kHeaderBytes,
-                                          header.payload_size - 4, 3),
-               ProtocolError);
-  EXPECT_THROW(deserialize_render_request(frame.data() + kHeaderBytes,
-                                          header.payload_size, 1),
+                                          header.payload_size - 8),
                ProtocolError);
 }
 
@@ -511,15 +494,14 @@ TEST(Server, MalformedFrameGetsErrorFrameAndClose) {
   });
 }
 
-TEST(Server, VersionOneRequestStillServed) {
+TEST(Server, VersionOneRequestGetsErrorFrameAndClose) {
   runtime::ServiceConfig config;
   config.backend = "sw";
   with_server(config, {}, [](runtime::RenderService&, Server& server) {
-    // A v1 peer's render request: today's frame minus the v2 deadline_ms
-    // tail and the v3 scene string (empty, so just its 4-byte length
-    // prefix), with the version byte and payload size rewound. The server
-    // must serve it like any other request (deadline defaults to none,
-    // the scene key derives from gaussian_count/seed).
+    // A retired v1 peer's render request: today's frame minus the
+    // deadline_ms tail and the scene string (empty, so just its 4-byte
+    // length prefix), with the version byte and payload size rewound. The
+    // server answers with a kError frame naming the version and closes.
     RenderRequest req = default_render_request(600, 7, 64, 48);
     req.request_id = 31;
     std::vector<std::uint8_t> frame = serialize(req);
@@ -529,15 +511,15 @@ TEST(Server, VersionOneRequestStillServed) {
         static_cast<std::uint32_t>(frame.size() - kHeaderBytes);
     std::memcpy(frame.data() + 8, &payload_size, 4);
 
-    RawConn conn(server.port(), /*timeout_ms=*/30000);
+    RawConn conn(server.port());
     conn.send_bytes(frame);
-    const std::vector<std::uint8_t> reply = conn.read_frame();
+    const std::vector<std::uint8_t> reply = conn.read_until_close();
+    ASSERT_GE(reply.size(), kHeaderBytes);
     const FrameHeader header = decode_header(reply.data());
-    ASSERT_EQ(header.type, MessageType::kRenderResponse);
-    const RenderResponse resp = deserialize_render_response(
-        reply.data() + kHeaderBytes, header.payload_size);
-    EXPECT_EQ(resp.status, RenderStatus::kOk) << resp.message;
-    EXPECT_EQ(resp.request_id, 31u);
+    ASSERT_EQ(header.type, MessageType::kError);
+    const std::string message =
+        deserialize_error(reply.data() + kHeaderBytes, header.payload_size);
+    EXPECT_NE(message.find("version 1"), std::string::npos) << message;
   });
 }
 
@@ -545,9 +527,9 @@ TEST(Server, TruncatedVersionTwoDeadlineRejectedLoudly) {
   runtime::ServiceConfig config;
   config.backend = "sw";
   with_server(config, {}, [](runtime::RenderService&, Server& server) {
-    // Same truncation, but still claiming version 2: a new-version frame
-    // cut before an appended field is a protocol error — kError frame and
-    // close, never a silent zero-default.
+    // A current-version frame cut before its trailing scene string (the
+    // deadline_ms field is the last one left whole) is a protocol error —
+    // kError frame and close, never a silent zero-default.
     std::vector<std::uint8_t> frame =
         serialize(default_render_request(600, 7, 64, 48));
     frame.resize(frame.size() - 4);

@@ -13,22 +13,28 @@
 #
 # The canonical (non-quick) configuration is bench_micro's flag defaults
 # (20000 Gaussians at 320x240, warmup 2, repeat 5 — the config the recorded
-# perf trajectory tracks) plus a closed-loop service sweep on the software
-# backend with the fast kernel, plus the loopback wire-vs-in-process serving
-# comparison on the canonical 20000-Gaussian 320x240 scene (net::Server /
-# net::Client over a real TCP socket, image payloads included), plus the
-# direct-vs-routed sharded-fleet comparison (cluster::Router fronting
-# loopback shards; reports the routed/direct
-# throughput ratio and per-frame route overhead), plus the clean-vs-faulted
-# comparison (every request deadlined, the faulted pass under a seeded
-# 1%-forward-error / 5%-10ms-delay plan; reports the faulted/clean
-# throughput ratio, faulted p99, and deadline hit rate), plus the
-# unbounded-vs-budgeted scene-store comparison (the budgeted pass evicts
-# against half the unbounded pass's peak resident bytes; reports the
-# budgeted/unbounded throughput ratio, hit rate, evictions, and whether
-# post-drain residency held under the budget). --quick shrinks
-# everything to a small scene and a single repeat so CI can exercise the
-# JSON paths and both kernels on every PR in seconds.
+# perf trajectory tracks) plus one bench_service_throughput run per
+# comparison, on the software backend with the fast kernel:
+#
+#   --compare workers  closed-loop service sweep over worker counts
+#   --compare wire     in-process vs loopback TCP (net::Server/net::Client)
+#                      on the canonical 20000-Gaussian 320x240 scene
+#   --compare fleet    direct-to-shard vs routed through cluster::Router
+#                      over 2 loopback shards (routed/direct throughput
+#                      ratio, per-frame route overhead)
+#   --compare faults   clean vs a seeded 1%-forward-error / 5%-10ms-delay
+#                      plan, every request deadlined (faulted/clean ratio,
+#                      faulted p99, deadline hit rate)
+#   --compare scenes   unbounded vs a scene-store budget of half the
+#                      catalogue's bytes (budgeted/unbounded ratio, hit
+#                      rate, evictions, post-drain residency vs budget)
+#
+# Every two-sided comparison runs its sides as interleaved pass pairs.
+# --quick shrinks everything to a small scene and, for the serving
+# comparisons, a single pass, so CI can exercise the JSON paths and both
+# kernels on every PR in seconds; bench_micro keeps 5 repeats there so
+# micro.raster_fast_speedup is a median the bench gate can hold to its
+# floor.
 #
 # Usage: tools/bench_pipeline.sh [--build-dir DIR] [--out FILE] [--quick]
 set -euo pipefail
@@ -64,13 +70,13 @@ TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT
 
 MICRO_FLAGS=()
-SERVICE_FLAGS=(--backend sw --kernel fast)
-WIRE_FLAGS=(--listen-loopback --backend sw --kernel fast)
-FLEET_FLAGS=(--fleet 2 --backend sw --kernel fast)
-FAULTS_FLAGS=(--faults --backend sw --kernel fast)
-SCENES_FLAGS=(--scene-sweep --backend sw --kernel fast)
+SERVICE_FLAGS=(--compare workers --backend sw --kernel fast)
+WIRE_FLAGS=(--compare wire --backend sw --kernel fast)
+FLEET_FLAGS=(--compare fleet --backend sw --kernel fast)
+FAULTS_FLAGS=(--compare faults --backend sw --kernel fast)
+SCENES_FLAGS=(--compare scenes --backend sw --kernel fast)
 if [[ "$QUICK" == 1 ]]; then
-  MICRO_FLAGS+=(--synthetic 4000 --width 160 --height 120 --warmup 1 --repeat 1)
+  MICRO_FLAGS+=(--synthetic 4000 --width 160 --height 120 --warmup 1 --repeat 5)
   SERVICE_FLAGS+=(--jobs 6 --width 96 --height 72 --warmup 0 --repeat 1)
   WIRE_FLAGS+=(--jobs 4 --width 96 --height 72 --scene-size 2000
                --workers 1 --clients 2 --warmup 0 --repeat 1)
@@ -94,9 +100,8 @@ else
   # tracked configuration lives in one place.
   FAULTS_FLAGS+=(--jobs 16 --width 320 --height 240
                  --workers 2 --clients 4 --warmup 1 --repeat 3)
-  # Scene-store comparison: the widened scene-size mix is the bench
-  # binary's --scene-sweep default; the budget defaults to half the
-  # unbounded pass's peak resident bytes.
+  # Scene-store comparison: the widened scene-size mix and the budget (half
+  # the catalogue's bytes) are fixed by the bench binary's scenes mode.
   SCENES_FLAGS+=(--jobs 24 --width 320 --height 240
                  --workers 2 --warmup 1 --repeat 3)
 fi
