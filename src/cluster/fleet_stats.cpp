@@ -8,7 +8,7 @@ namespace gaurast::cluster {
 
 namespace {
 
-double percentile(std::vector<double> sorted_samples, double q) {
+double percentile(const std::vector<double>& sorted_samples, double q) {
   if (sorted_samples.empty()) return 0.0;
   const double pos = q * static_cast<double>(sorted_samples.size() - 1);
   const std::size_t lo = static_cast<std::size_t>(pos);

@@ -21,31 +21,6 @@ Mat4f look_at(Vec3f eye, Vec3f target, Vec3f up) {
   return m;
 }
 
-Mat4f perspective(float fov_y, float aspect, float z_near, float z_far) {
-  GAURAST_CHECK(fov_y > 0.0f && aspect > 0.0f);
-  GAURAST_CHECK(z_near > 0.0f && z_far > z_near);
-  const float t = std::tan(0.5f * fov_y);
-  Mat4f m;  // zero-initialized
-  m.at(0, 0) = 1.0f / (aspect * t);
-  m.at(1, 1) = 1.0f / t;
-  m.at(2, 2) = -(z_far + z_near) / (z_far - z_near);
-  m.at(2, 3) = -2.0f * z_far * z_near / (z_far - z_near);
-  m.at(3, 2) = -1.0f;
-  return m;
-}
-
-Mat4f viewport(int width, int height) {
-  GAURAST_CHECK(width > 0 && height > 0);
-  const float w = static_cast<float>(width);
-  const float h = static_cast<float>(height);
-  Mat4f m = Mat4f::identity();
-  m.at(0, 0) = 0.5f * w;
-  m.at(0, 3) = 0.5f * w;
-  m.at(1, 1) = -0.5f * h;  // flip Y: NDC +1 -> row 0
-  m.at(1, 3) = 0.5f * h;
-  return m;
-}
-
 Mat4f rotation4(Vec3f axis, float radians) {
   const Mat3f r = Quatf::from_axis_angle(axis, radians).to_matrix();
   Mat4f m = Mat4f::identity();

@@ -1,4 +1,4 @@
-// Camera and viewport transforms shared by the Gaussian and triangle
+// Camera and model transforms shared by the Gaussian and triangle
 // pipelines.
 #pragma once
 
@@ -10,14 +10,6 @@ namespace gaurast {
 /// Right-handed look-at view matrix (camera looks down -Z in view space,
 /// +X right, +Y up). `eye` must differ from `target`.
 Mat4f look_at(Vec3f eye, Vec3f target, Vec3f up);
-
-/// OpenGL-style perspective projection. fov_y in radians, aspect = w/h,
-/// near/far > 0. Maps view-space z in [-near, -far] to NDC z in [-1, 1].
-Mat4f perspective(float fov_y, float aspect, float z_near, float z_far);
-
-/// NDC [-1,1]^2 to pixel coordinates; pixel centers at integer+0.5.
-/// Y is flipped so row 0 is the top of the image.
-Mat4f viewport(int width, int height);
 
 /// Rotation about an axis, as a 4x4 (for camera orbits and mesh animation).
 Mat4f rotation4(Vec3f axis, float radians);

@@ -15,7 +15,6 @@ namespace gaurast::mesh {
 struct Vertex {
   Vec3f position;
   Vec3f normal{0, 1, 0};
-  Vec2f uv{0, 0};
   Vec3f color{0.8f, 0.8f, 0.8f};
 };
 

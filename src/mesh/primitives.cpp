@@ -25,14 +25,12 @@ TriangleMesh make_cube() {
     const Vec3f b = n.cross(t);
     const Vec3f center = n * 0.5f;
     Vertex v[4];
-    const Vec2f uvs[4] = {{0, 0}, {1, 0}, {1, 1}, {0, 1}};
     const float su[4] = {-0.5f, 0.5f, 0.5f, -0.5f};
     const float sv[4] = {-0.5f, -0.5f, 0.5f, 0.5f};
     std::uint32_t idx[4];
     for (int k = 0; k < 4; ++k) {
       v[k].position = center + t * su[k] + b * sv[k];
       v[k].normal = n;
-      v[k].uv = uvs[k];
       v[k].color = face_colors[f];
       idx[k] = m.add_vertex(v[k]);
     }
@@ -54,8 +52,6 @@ TriangleMesh make_sphere(int stacks, int slices, float radius) {
       v.normal = {std::sin(phi) * std::cos(theta), std::cos(phi),
                   std::sin(phi) * std::sin(theta)};
       v.position = v.normal * radius;
-      v.uv = {static_cast<float>(j) / static_cast<float>(slices),
-              static_cast<float>(i) / static_cast<float>(stacks)};
       v.color = {0.5f + 0.5f * v.normal.x, 0.5f + 0.5f * v.normal.y,
                  0.5f + 0.5f * v.normal.z};
       m.add_vertex(v);
@@ -92,8 +88,6 @@ TriangleMesh make_torus(int major_segments, int minor_segments,
                          std::sin(u) * std::cos(v)};
       vert.position = ring_center + radial * minor_radius;
       vert.normal = radial;
-      vert.uv = {static_cast<float>(i) / static_cast<float>(major_segments),
-                 static_cast<float>(j) / static_cast<float>(minor_segments)};
       vert.color = {0.8f, 0.5f + 0.3f * std::sin(v), 0.4f};
       m.add_vertex(vert);
     }
@@ -121,7 +115,6 @@ TriangleMesh make_plane(int cells, float size) {
       const float fz = static_cast<float>(i) / static_cast<float>(cells);
       v.position = {(fx - 0.5f) * size, 0.0f, (fz - 0.5f) * size};
       v.normal = {0, 1, 0};
-      v.uv = {fx, fz};
       v.color = ((i + j) % 2 == 0) ? Vec3f{0.75f, 0.75f, 0.75f}
                                    : Vec3f{0.35f, 0.35f, 0.35f};
       m.add_vertex(v);

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "mesh/texture.hpp"
 
 namespace gaurast::mesh {
 
@@ -26,9 +25,6 @@ bool setup_triangle(const Vertex& v0, const Vertex& v1, const Vertex& v2,
   out.z0 = a.z;
   out.z1 = b.z;
   out.z2 = c.z;
-  out.uv0 = v0.uv;
-  out.uv1 = v1.uv;
-  out.uv2 = v2.uv;
 
   // Headlight diffuse shading at the vertex stage (view-space normal z).
   auto lit = [&](const Vertex& v) {
@@ -62,7 +58,6 @@ TriangleFragment eval_triangle_at(const ScreenTriangle& tri, Vec2f pixel) {
   frag.w1 = e1 * tri.inv_double_area;
   frag.w2 = e2 * tri.inv_double_area;
   frag.depth = frag.w0 * tri.z0 + frag.w1 * tri.z1 + frag.w2 * tri.z2;
-  frag.uv = tri.uv0 * frag.w0 + tri.uv1 * frag.w1 + tri.uv2 * frag.w2;
   frag.color = tri.c0 * frag.w0 + tri.c1 * frag.w1 + tri.c2 * frag.w2;
   return frag;
 }
@@ -125,45 +120,6 @@ RasterOutput render_mesh(const TriangleMesh& mesh, const scene::Camera& camera,
           out.depth[idx] = frag.depth;
           out.color.at(x, y) = frag.color;
           if (stats) ++stats->depth_passes;
-        }
-      }
-    }
-  }
-  return out;
-}
-
-RasterOutput render_mesh_textured(const TriangleMesh& mesh,
-                                  const scene::Camera& camera,
-                                  const Texture& texture, Vec3f background,
-                                  TriangleRasterStats* stats) {
-  RasterOutput out = render_mesh(mesh, camera, background, stats);
-  // Second pass: re-walk covered pixels and modulate by the texture. We
-  // re-rasterize rather than cache fragments to keep render_mesh lean; the
-  // z-buffer from the first pass arbitrates exactly as before.
-  const std::vector<ScreenTriangle> prims = build_primitives(mesh, camera);
-  const int w = camera.width();
-  const int h = camera.height();
-  for (const ScreenTriangle& tri : prims) {
-    const float min_xf = std::min({tri.p0.x, tri.p1.x, tri.p2.x});
-    const float max_xf = std::max({tri.p0.x, tri.p1.x, tri.p2.x});
-    const float min_yf = std::min({tri.p0.y, tri.p1.y, tri.p2.y});
-    const float max_yf = std::max({tri.p0.y, tri.p1.y, tri.p2.y});
-    const int x0 = std::max(0, static_cast<int>(std::floor(min_xf)));
-    const int x1 = std::min(w - 1, static_cast<int>(std::ceil(max_xf)));
-    const int y0 = std::max(0, static_cast<int>(std::floor(min_yf)));
-    const int y1 = std::min(h - 1, static_cast<int>(std::ceil(max_yf)));
-    for (int y = y0; y <= y1; ++y) {
-      for (int x = x0; x <= x1; ++x) {
-        const Vec2f pixel{static_cast<float>(x) + 0.5f,
-                          static_cast<float>(y) + 0.5f};
-        const TriangleFragment frag = eval_triangle_at(tri, pixel);
-        if (!frag.inside) continue;
-        const std::size_t idx = static_cast<std::size_t>(y) *
-                                    static_cast<std::size_t>(w) +
-                                static_cast<std::size_t>(x);
-        // Only the depth-test winner shades the pixel.
-        if (frag.depth == out.depth[idx]) {
-          out.color.at(x, y) = frag.color.hadamard(texture.sample(frag.uv));
         }
       }
     }

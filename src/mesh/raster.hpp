@@ -22,7 +22,6 @@ namespace gaurast::mesh {
 struct ScreenTriangle {
   Vec2f p0, p1, p2;   ///< pixel coordinates
   float z0 = 0.0f, z1 = 0.0f, z2 = 0.0f;  ///< view-space depths
-  Vec2f uv0, uv1, uv2;
   Vec3f c0, c1, c2;   ///< lit vertex colors
   float inv_double_area = 0.0f;  ///< 1 / (2 * signed area); uses the DIV unit
 };
@@ -31,7 +30,6 @@ struct ScreenTriangle {
 struct TriangleFragment {
   bool inside = false;
   float depth = std::numeric_limits<float>::infinity();
-  Vec2f uv;
   Vec3f color;
   float w0 = 0.0f, w1 = 0.0f, w2 = 0.0f;  ///< barycentric weights
 };
@@ -80,16 +78,5 @@ RasterOutput render_mesh(const TriangleMesh& mesh, const scene::Camera& camera,
 std::vector<ScreenTriangle> build_primitives(const TriangleMesh& mesh,
                                              const scene::Camera& camera,
                                              TriangleRasterStats* stats = nullptr);
-
-class Texture;  // mesh/texture.hpp
-
-/// render_mesh with a fragment stage that modulates the interpolated lit
-/// vertex color by a texture sampled at the interpolated UV — the shading
-/// the SMs perform downstream of the rasterizer's UV-weight output.
-RasterOutput render_mesh_textured(const TriangleMesh& mesh,
-                                  const scene::Camera& camera,
-                                  const Texture& texture,
-                                  Vec3f background = {0.05f, 0.05f, 0.08f},
-                                  TriangleRasterStats* stats = nullptr);
 
 }  // namespace gaurast::mesh

@@ -337,24 +337,26 @@ TEST(FleetStats, ExtractJsonNumber) {
 }
 
 TEST(FleetStats, MergeSumsTotalsAndKeepsPerShardDetail) {
+  const std::string schema = net::kServeStatsSchema;
   std::vector<ShardStatsEntry> entries(3);
   entries[0].shard = ShardSnapshot{ShardId{"a", 1}, ShardState::kAlive};
-  entries[0].stats_json =
-      "{\"schema\":\"gaurast-serve-stats/v1\",\"submitted\":5,"
-      "\"completed\":4,\"rejected\":1,\"scene_cache_hits\":3,"
-      "\"scene_cache_misses\":2,\"stages\":[]}";
+  entries[0].stats_json = "{\"schema\":\"" + schema +
+                          "\",\"submitted\":5,\"completed\":4,"
+                          "\"rejected\":1,\"scene_cache_hits\":3,"
+                          "\"scene_cache_misses\":2}";
   entries[1].shard = ShardSnapshot{ShardId{"b", 2}, ShardState::kSuspect};
-  entries[1].stats_json =
-      "{\"schema\":\"gaurast-serve-stats/v1\",\"submitted\":7,"
-      "\"completed\":7,\"rejected\":0,\"scene_cache_hits\":1,"
-      "\"scene_cache_misses\":1,\"stages\":[]}";
+  entries[1].stats_json = "{\"schema\":\"" + schema +
+                          "\",\"submitted\":7,\"completed\":7,"
+                          "\"rejected\":0,\"scene_cache_hits\":1,"
+                          "\"scene_cache_misses\":1}";
   // A dead shard contributes nothing to the sums and a null stats entry.
   entries[2].shard = ShardSnapshot{ShardId{"c", 3}, ShardState::kDead};
 
   RouterStatsSnapshot router;
   router.routed_ok = 11;
   router.failovers = 2;
-  router.latency_ms = {10.0, 20.0};
+  // Unsorted on purpose: the merge must sort before interpolating.
+  router.latency_ms = {30.0, 10.0, 20.0, 40.0};
   router.route_overhead_ms = {1.0, 3.0};
 
   const std::string json = merge_fleet_stats(entries, router);
@@ -367,7 +369,10 @@ TEST(FleetStats, MergeSumsTotalsAndKeepsPerShardDetail) {
   EXPECT_NE(json.find("\"scene_cache_hits\":4"), std::string::npos) << json;
   EXPECT_NE(json.find("\"routed_ok\":11"), std::string::npos) << json;
   EXPECT_NE(json.find("\"failovers\":2"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"latency_mean_ms\":15"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"latency_mean_ms\":25"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"latency_p50_ms\":25"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"latency_p95_ms\":38.5"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"latency_max_ms\":40"), std::string::npos) << json;
   EXPECT_NE(json.find("\"route_overhead_mean_ms\":2"), std::string::npos)
       << json;
   EXPECT_NE(json.find("\"state\":\"dead\",\"breaker_open\":false,"

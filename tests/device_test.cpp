@@ -1,13 +1,11 @@
-// Tests for the GauRastDevice public API, texture sampling, scene filters
-// and the GPU raster kernel breakdown.
+// Tests for the GauRastDevice public API and the GPU raster kernel
+// breakdown.
 
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
 #include "core/device.hpp"
 #include "mesh/primitives.hpp"
-#include "mesh/texture.hpp"
-#include "scene/filters.hpp"
 #include "scene/generator.hpp"
 
 namespace gaurast {
@@ -93,122 +91,6 @@ TEST(Device, RejectsInvalidConfig) {
   core::RasterizerConfig bad = core::RasterizerConfig::prototype16();
   bad.pes_per_module = 0;
   EXPECT_THROW(core::GauRastDevice{bad}, Error);
-}
-
-// ------------------------------------------------------------- Texture --
-
-TEST(Texture, CheckerboardAlternates) {
-  const mesh::Texture tex = mesh::Texture::checkerboard(64, 8, {1, 1, 1},
-                                                        {0, 0, 0});
-  const Vec3f a = tex.sample({0.05f, 0.05f}, mesh::TextureFilter::kNearest);
-  const Vec3f b = tex.sample({0.18f, 0.05f}, mesh::TextureFilter::kNearest);
-  EXPECT_NE(a.x, b.x);
-}
-
-TEST(Texture, UvGradientInterpolatesLinearly) {
-  const mesh::Texture tex = mesh::Texture::uv_gradient(128);
-  const Vec3f mid = tex.sample({0.5f, 0.5f});
-  EXPECT_NEAR(mid.x, 0.5f, 0.02f);
-  EXPECT_NEAR(mid.y, 0.5f, 0.02f);
-  const Vec3f left = tex.sample({0.1f, 0.5f});
-  EXPECT_LT(left.x, mid.x);
-}
-
-TEST(Texture, RepeatWrapsClampHolds) {
-  const mesh::Texture tex = mesh::Texture::uv_gradient(64);
-  const Vec3f wrapped = tex.sample({1.25f, 0.5f}, mesh::TextureFilter::kNearest,
-                                   mesh::TextureWrap::kRepeat);
-  const Vec3f direct = tex.sample({0.25f, 0.5f}, mesh::TextureFilter::kNearest,
-                                  mesh::TextureWrap::kRepeat);
-  EXPECT_EQ(wrapped.x, direct.x);
-  const Vec3f clamped = tex.sample({5.0f, 0.5f}, mesh::TextureFilter::kNearest,
-                                   mesh::TextureWrap::kClamp);
-  EXPECT_NEAR(clamped.x, 1.0f, 0.02f);  // right edge of the gradient
-}
-
-TEST(Texture, BilinearSmoothsNearest) {
-  const mesh::Texture tex = mesh::Texture::checkerboard(8, 4, {1, 1, 1},
-                                                        {0, 0, 0});
-  // On a cell boundary, bilinear blends; nearest snaps.
-  const Vec3f bi = tex.sample({0.25f, 0.1f}, mesh::TextureFilter::kBilinear);
-  EXPECT_GT(bi.x, 0.0f);
-  EXPECT_LT(bi.x, 1.0f);
-}
-
-TEST(Texture, NoiseDeterministicInSeed) {
-  const mesh::Texture a = mesh::Texture::noise(16, 5, {0.5f, 0.5f, 0.5f});
-  const mesh::Texture b = mesh::Texture::noise(16, 5, {0.5f, 0.5f, 0.5f});
-  const mesh::Texture c = mesh::Texture::noise(16, 6, {0.5f, 0.5f, 0.5f});
-  EXPECT_EQ(a.sample({0.3f, 0.7f}).x, b.sample({0.3f, 0.7f}).x);
-  EXPECT_NE(a.sample({0.3f, 0.7f}).x, c.sample({0.3f, 0.7f}).x);
-}
-
-TEST(Texture, TexturedRenderDiffersFromFlatAndCoversSamePixels) {
-  const scene::Camera cam = scene::default_camera({}, 128, 96);
-  const mesh::TriangleMesh sphere = mesh::make_sphere(16, 24, 2.0f);
-  const mesh::Texture tex = mesh::Texture::checkerboard(64, 8);
-  const mesh::RasterOutput flat = mesh::render_mesh(sphere, cam);
-  const mesh::RasterOutput textured =
-      mesh::render_mesh_textured(sphere, cam, tex);
-  EXPECT_GT(textured.color.max_abs_diff(flat.color), 0.05f);
-  // Coverage (depth buffer) identical: texturing is a fragment-stage-only
-  // change downstream of the rasterizer.
-  for (std::size_t i = 0; i < flat.depth.size(); i += 97) {
-    EXPECT_EQ(textured.depth[i], flat.depth[i]);
-  }
-}
-
-// ------------------------------------------------------------- Filters --
-
-TEST(Filters, PruneByOpacityDropsOnlyFaint) {
-  const auto sc = device_scene(1000);
-  const auto kept = scene::prune_by_opacity(sc, 0.3f);
-  EXPECT_LT(kept.size(), sc.size());
-  for (float o : kept.opacities()) EXPECT_GE(o, 0.3f);
-}
-
-TEST(Filters, PruneByOpacityImageNearIdenticalAtThreshold) {
-  // Pruning below 1/255 cannot change any blended contribution... but it
-  // can change early-termination pair counts; the image must stay close.
-  const auto sc = device_scene(3000);
-  const auto kept = scene::prune_by_opacity(sc, 1.0f / 255.0f);
-  const scene::Camera cam = scene::default_camera({}, 96, 72);
-  const pipeline::GaussianRenderer renderer;
-  const auto a = renderer.render(sc, cam);
-  const auto b = renderer.render(kept, cam);
-  // Not bit-exact: copying Gaussians through the filter re-normalizes the
-  // (already unit) rotation quaternions, perturbing conics by ~1 ULP.
-  EXPECT_LT(b.image.max_abs_diff(a.image), 1e-5f);
-}
-
-TEST(Filters, TruncateShReducesDegreeAndTraffic) {
-  const auto sc = device_scene(500);
-  const auto flat = scene::truncate_sh(sc, 0);
-  EXPECT_EQ(flat.sh_degree(), 0);
-  EXPECT_EQ(flat.size(), sc.size());
-  EXPECT_LT(flat.bytes_per_gaussian(), sc.bytes_per_gaussian());
-  // DC coefficients survive.
-  EXPECT_EQ(flat.sh()[0][0], sc.sh()[0][0]);
-}
-
-TEST(Filters, TruncateShCannotRaiseDegree) {
-  const auto flat = scene::truncate_sh(device_scene(10), 0);
-  EXPECT_THROW(scene::truncate_sh(flat, 3), Error);
-}
-
-TEST(Filters, SubsampleKeepsExpectedFraction) {
-  const auto sc = device_scene(5000);
-  const auto half = scene::subsample(sc, 0.5, 11);
-  EXPECT_NEAR(static_cast<double>(half.size()),
-              static_cast<double>(sc.size()) * 0.5,
-              static_cast<double>(sc.size()) * 0.05);
-  // Deterministic in seed.
-  EXPECT_EQ(scene::subsample(sc, 0.5, 11).size(), half.size());
-}
-
-TEST(Filters, SubsampleInvalidFractionThrows) {
-  EXPECT_THROW(scene::subsample(device_scene(10), 0.0, 1), Error);
-  EXPECT_THROW(scene::subsample(device_scene(10), 1.5, 1), Error);
 }
 
 // ------------------------------------------------- Kernel breakdown -----

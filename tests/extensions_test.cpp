@@ -1,5 +1,5 @@
-// Tests for the extension subsystems: 3DGS PLY interop, SSIM, workload
-// traces, tight ellipse culling, and DVFS energy scaling.
+// Tests for the extension subsystems: 3DGS PLY interop, workload traces,
+// tight ellipse culling, and DVFS energy scaling.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +13,6 @@
 #include "core/scheduler.hpp"
 #include "core/hw_rasterizer.hpp"
 #include "core/trace.hpp"
-#include "gsmath/ssim.hpp"
 #include "pipeline/renderer.hpp"
 #include "scene/generator.hpp"
 #include "scene/ply_io.hpp"
@@ -118,68 +117,6 @@ TEST(PlyIo, TruncatedPayloadThrows) {
   os.close();
   EXPECT_THROW(scene::load_ply(path), Error);
   std::remove(path.c_str());
-}
-
-// ---------------------------------------------------------------- SSIM --
-
-TEST(Ssim, IdenticalImagesScoreOne) {
-  Image img(32, 32, {0.4f, 0.5f, 0.6f});
-  img.at(10, 10) = {0.9f, 0.1f, 0.2f};
-  EXPECT_NEAR(ssim(img, img), 1.0, 1e-9);
-}
-
-TEST(Ssim, DegradesWithNoise) {
-  scene::GeneratorParams params;
-  params.gaussian_count = 2000;
-  const scene::GaussianScene sc = scene::generate_scene(params);
-  const pipeline::GaussianRenderer renderer;
-  const auto frame = renderer.render(sc, scene::default_camera(params, 96, 72));
-  Image noisy = frame.image;
-  Pcg32 rng(1);
-  for (auto& px : noisy.pixels()) {
-    px.x = clampf(px.x + static_cast<float>(rng.normal(0.0, 0.1)), 0.0f, 1.0f);
-  }
-  const double s = ssim(frame.image, noisy);
-  EXPECT_LT(s, 0.99);
-  EXPECT_GT(s, 0.1);
-}
-
-TEST(Ssim, ConstantShiftScoresHigherThanStructuredError) {
-  Image base(32, 32, {0.5f, 0.5f, 0.5f});
-  Pcg32 rng(2);
-  for (auto& px : base.pixels()) {
-    px = {static_cast<float>(rng.uniform(0.2, 0.8)),
-          static_cast<float>(rng.uniform(0.2, 0.8)),
-          static_cast<float>(rng.uniform(0.2, 0.8))};
-  }
-  Image shifted = base;
-  for (auto& px : shifted.pixels()) px += {0.05f, 0.05f, 0.05f};
-  Image scrambled = base;
-  for (int y = 0; y < 32; ++y) {
-    for (int x = 0; x < 32; x += 2) {
-      std::swap(scrambled.at(x, y), scrambled.at(31 - x, 31 - y));
-    }
-  }
-  EXPECT_GT(ssim(base, shifted), ssim(base, scrambled));
-}
-
-TEST(Ssim, RequiresMatchingAndMinimumSize) {
-  Image a(16, 16), b(32, 32), tiny(4, 4);
-  EXPECT_THROW(ssim(a, b), Error);
-  EXPECT_THROW(ssim(tiny, tiny), Error);
-}
-
-TEST(Ssim, Fp16HardwareQualityHigh) {
-  scene::GeneratorParams params;
-  params.gaussian_count = 2000;
-  const scene::GaussianScene sc = scene::generate_scene(params);
-  const scene::Camera cam = scene::default_camera(params, 128, 96);
-  const pipeline::GaussianRenderer renderer;
-  const auto frame = renderer.render(sc, cam);
-  const core::HardwareRasterizer hw(core::RasterizerConfig::fp16(16));
-  const auto r = hw.rasterize_gaussians(frame.splats, frame.workload,
-                                        renderer.config().blend);
-  EXPECT_GT(ssim(r.image, frame.image), 0.98);
 }
 
 // --------------------------------------------------------------- Trace --

@@ -193,34 +193,6 @@ TEST(LookAt, DegenerateThrows) {
   EXPECT_THROW(look_at({1, 1, 1}, {1, 1, 1}, {0, 1, 0}), Error);
 }
 
-TEST(Perspective, CenterRayMapsToNdcOrigin) {
-  const Mat4f p = perspective(1.0f, 1.5f, 0.1f, 100.0f);
-  const Vec3f ndc = p.transform_point({0, 0, -1.0f});
-  EXPECT_NEAR(ndc.x, 0.0f, kEps);
-  EXPECT_NEAR(ndc.y, 0.0f, kEps);
-}
-
-TEST(Perspective, NearFarMapToUnitRange) {
-  const Mat4f p = perspective(1.0f, 1.0f, 1.0f, 10.0f);
-  EXPECT_NEAR(p.transform_point({0, 0, -1.0f}).z, -1.0f, 1e-4f);
-  EXPECT_NEAR(p.transform_point({0, 0, -10.0f}).z, 1.0f, 1e-4f);
-}
-
-TEST(Perspective, InvalidParamsThrow) {
-  EXPECT_THROW(perspective(-1.0f, 1.0f, 0.1f, 10.0f), Error);
-  EXPECT_THROW(perspective(1.0f, 1.0f, 10.0f, 0.1f), Error);
-}
-
-TEST(Viewport, CornersMapToPixelBounds) {
-  const Mat4f vp = viewport(640, 480);
-  const Vec3f tl = vp.transform_point({-1, 1, 0});
-  EXPECT_NEAR(tl.x, 0.0f, kEps);
-  EXPECT_NEAR(tl.y, 0.0f, kEps);
-  const Vec3f br = vp.transform_point({1, -1, 0});
-  EXPECT_NEAR(br.x, 640.0f, kEps);
-  EXPECT_NEAR(br.y, 480.0f, kEps);
-}
-
 TEST(FocalFromFov, MatchesTrig) {
   const float f = focal_from_fov(1.0f, 480);
   EXPECT_NEAR(f, 480.0f / (2.0f * std::tan(0.5f)), 1e-3f);

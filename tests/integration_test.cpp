@@ -13,30 +13,25 @@
 #include "mesh/primitives.hpp"
 #include "pipeline/renderer.hpp"
 #include "scene/generator.hpp"
-#include "scene/scene_io.hpp"
 
 namespace gaurast {
 namespace {
 
 TEST(Integration, FullFramePathSoftwareVsHardware) {
-  // Generate -> save -> load -> render -> hardware Step 3 -> images equal.
+  // Generate -> render -> hardware Step 3 -> images equal.
   scene::GeneratorParams params;
   params.gaussian_count = 3000;
   const scene::GaussianScene gscene = scene::generate_scene(params);
-  const std::string path = ::testing::TempDir() + "/integration_scene.gsc";
-  scene::save_scene(gscene, path);
-  const scene::GaussianScene loaded = scene::load_scene(path);
 
   const scene::Camera camera = scene::default_camera(params, 192, 144);
   const pipeline::GaussianRenderer renderer;
-  const pipeline::FrameResult frame = renderer.render(loaded, camera);
+  const pipeline::FrameResult frame = renderer.render(gscene, camera);
 
   const core::HardwareRasterizer hw(core::RasterizerConfig::prototype16());
   const core::HwRasterResult hwres = hw.rasterize_gaussians(
       frame.splats, frame.workload, renderer.config().blend);
   EXPECT_EQ(hwres.image.max_abs_diff(frame.image), 0.0f);
   EXPECT_GT(hwres.timing.makespan_cycles, 0u);
-  std::remove(path.c_str());
 }
 
 TEST(Integration, MultiViewpointConsistency) {

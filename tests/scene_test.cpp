@@ -1,10 +1,8 @@
-// Tests for the Gaussian scene container, cameras, profiles, synthetic
-// generator and scene IO.
+// Tests for the Gaussian scene container, cameras, profiles and synthetic
+// generator.
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <limits>
 
 #include "common/error.hpp"
@@ -12,7 +10,6 @@
 #include "scene/gaussian.hpp"
 #include "scene/generator.hpp"
 #include "scene/profile.hpp"
-#include "scene/scene_io.hpp"
 
 namespace gaurast::scene {
 namespace {
@@ -278,61 +275,6 @@ TEST(Generator, InvalidFractionsThrow) {
   params.object_fraction = 0.8;
   params.ground_fraction = 0.3;
   EXPECT_THROW(generate_scene(params), Error);
-}
-
-// ------------------------------------------------------------------ IO --
-
-TEST(SceneIo, RoundTripPreservesEverything) {
-  GeneratorParams params;
-  params.gaussian_count = 64;
-  const GaussianScene scene = generate_scene(params);
-  const std::string path = ::testing::TempDir() + "/scene_roundtrip.gsc";
-  save_scene(scene, path);
-  const GaussianScene loaded = load_scene(path);
-  ASSERT_EQ(loaded.size(), scene.size());
-  EXPECT_EQ(loaded.sh_degree(), scene.sh_degree());
-  for (std::size_t i = 0; i < scene.size(); ++i) {
-    EXPECT_EQ(loaded.positions()[i], scene.positions()[i]);
-    EXPECT_EQ(loaded.opacities()[i], scene.opacities()[i]);
-    EXPECT_EQ(loaded.sh()[i][0], scene.sh()[i][0]);
-  }
-  std::remove(path.c_str());
-}
-
-TEST(SceneIo, MissingFileThrows) {
-  EXPECT_THROW(load_scene("/nonexistent/dir/file.gsc"), Error);
-}
-
-TEST(SceneIo, BadMagicThrows) {
-  const std::string path = ::testing::TempDir() + "/bad_magic.gsc";
-  {
-    std::ofstream os(path, std::ios::binary);
-    os << "NOPE-not-a-scene";
-  }
-  EXPECT_THROW(load_scene(path), Error);
-  std::remove(path.c_str());
-}
-
-TEST(SceneIo, TruncatedPayloadThrows) {
-  GeneratorParams params;
-  params.gaussian_count = 16;
-  const GaussianScene scene = generate_scene(params);
-  const std::string path = ::testing::TempDir() + "/truncated.gsc";
-  save_scene(scene, path);
-  // Truncate the file to half its size.
-  {
-    std::ifstream is(path, std::ios::binary | std::ios::ate);
-    const auto full = static_cast<std::size_t>(is.tellg());
-    is.seekg(0);
-    std::string content(full, '\0');
-    is.read(content.data(), static_cast<std::streamsize>(full));
-    is.close();
-    std::ofstream os(path, std::ios::binary | std::ios::trunc);
-    os.write(content.data(),
-             static_cast<std::streamsize>(content.size() / 2));
-  }
-  EXPECT_THROW(load_scene(path), Error);
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -30,11 +30,12 @@
 #                      rate, evictions, post-drain residency vs budget)
 #
 # Every two-sided comparison runs its sides as interleaved pass pairs.
-# --quick shrinks everything to a small scene and, for the serving
-# comparisons, a single pass, so CI can exercise the JSON paths and both
-# kernels on every PR in seconds; bench_micro keeps 5 repeats there so
+# --quick shrinks everything to a small scene and a few jobs per pass, so
+# CI can exercise the JSON paths and both kernels on every PR in seconds.
+# It keeps the canonical pass counts: bench_micro's 5 repeats, so
 # micro.raster_fast_speedup is a median the bench gate can hold to its
-# floor.
+# floor, and the serving comparisons' warmup pass plus 3 measured passes,
+# so no side is measured cold.
 #
 # Usage: tools/bench_pipeline.sh [--build-dir DIR] [--out FILE] [--quick]
 set -euo pipefail
@@ -77,15 +78,15 @@ FAULTS_FLAGS=(--compare faults --backend sw --kernel fast)
 SCENES_FLAGS=(--compare scenes --backend sw --kernel fast)
 if [[ "$QUICK" == 1 ]]; then
   MICRO_FLAGS+=(--synthetic 4000 --width 160 --height 120 --warmup 1 --repeat 5)
-  SERVICE_FLAGS+=(--jobs 6 --width 96 --height 72 --warmup 0 --repeat 1)
+  SERVICE_FLAGS+=(--jobs 6 --width 96 --height 72 --warmup 1 --repeat 3)
   WIRE_FLAGS+=(--jobs 4 --width 96 --height 72 --scene-size 2000
-               --workers 1 --clients 2 --warmup 0 --repeat 1)
+               --workers 1 --clients 2 --warmup 1 --repeat 3)
   FLEET_FLAGS+=(--jobs 4 --width 96 --height 72
-                --workers 1 --clients 2 --warmup 0 --repeat 1)
+                --workers 1 --clients 2 --warmup 1 --repeat 3)
   FAULTS_FLAGS+=(--jobs 4 --width 96 --height 72
-                 --workers 1 --clients 2 --warmup 0 --repeat 1)
+                 --workers 1 --clients 2 --warmup 1 --repeat 3)
   SCENES_FLAGS+=(--jobs 8 --width 96 --height 72
-                 --workers 1 --warmup 0 --repeat 1)
+                 --workers 1 --warmup 1 --repeat 3)
 else
   # Canonical: bench_micro defaults; a fuller service sweep. The fleet
   # comparison keeps the default mixed scene sizes so the

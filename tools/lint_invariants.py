@@ -66,6 +66,12 @@ Rules (see --list-rules):
                        contracted a*b + c (an FMA, rounded once) would
                        silently change the bits the fast kernel must share
                        with the reference kernel and the hardware model.
+  orphan-module        Every header under src/ must be included from
+                       src/ (its own .cpp does not count), tools/, bench/,
+                       examples/ or perfbench/. A header only its own
+                       tests include is library code nothing ships; delete
+                       it with its tests. Includer trees are read even
+                       when linting a subset of files.
 
 A finding can be waived for one line with a trailing comment:
 
@@ -77,6 +83,7 @@ Exit status: 0 when clean, 1 when any finding is reported, 2 on usage error.
 from __future__ import annotations
 
 import argparse
+import posixpath
 import re
 import sys
 from collections.abc import Callable, Iterable
@@ -118,6 +125,10 @@ SIMD_CONFINEMENT_EXEMPT_FILES = ("src/pipeline/raster_fast.cpp",)
 
 # The single sanctioned construction site for engine backends.
 REGISTRY_SOURCE = "src/engine/registry.cpp"
+
+# Trees whose includes keep a src/ header alive (orphan-module). tests/ is
+# deliberately absent: a header that only its own tests include is dead.
+INCLUDER_DIRS = ("src", "tools", "bench", "examples", "perfbench")
 
 CPP_SUFFIXES = {".hpp", ".cpp", ".h", ".cc"}
 
@@ -242,6 +253,8 @@ SIMD_RE = re.compile(
     r"|(\[\[\s*gnu\s*::\s*(?:target|vector_size)\s*\()"
 )
 
+INCLUDE_RE = re.compile(r'^[ \t]*#[ \t]*include[ \t]*"([^"]+)"', re.MULTILINE)
+
 WAIVER_RE = re.compile(r"//\s*lint-invariants:\s*allow\(([a-z-]+(?:\s*,\s*[a-z-]+)*)\)")
 
 BACKEND_SUBCLASS_RE = re.compile(
@@ -267,6 +280,7 @@ class SourceFile(NamedTuple):
     text: str  # raw contents
     scrubbed: str  # comments/strings blanked, newlines preserved
     waivers: dict[int, set[str]]  # line -> waived rule ids
+    includes: frozenset[str]  # src/ headers this file includes
 
 
 def scrub_cpp(text: str) -> str:
@@ -340,14 +354,29 @@ def line_of(text: str, offset: int) -> int:
     return text.count("\n", 0, offset) + 1
 
 
+def collect_includes(text: str, scrubbed: str) -> frozenset[str]:
+    """The src/ paths named by quoted #includes outside comments.
+
+    Project headers are always included relative to src/, the include root.
+    """
+    found = set()
+    for m in INCLUDE_RE.finditer(text):
+        # A commented-out include is blanked in the scrubbed view.
+        if scrubbed[m.start() : m.start(1)] == text[m.start() : m.start(1)]:
+            found.add(posixpath.normpath("src/" + m.group(1)))
+    return frozenset(found)
+
+
 def load_source(root: Path, path: Path) -> SourceFile:
     text = path.read_text(encoding="utf-8", errors="replace")
+    scrubbed = scrub_cpp(text)
     return SourceFile(
         path=path,
         rel=path.relative_to(root).as_posix(),
         text=text,
-        scrubbed=scrub_cpp(text),
+        scrubbed=scrubbed,
         waivers=collect_waivers(text),
+        includes=collect_includes(text, scrubbed),
     )
 
 
@@ -650,6 +679,34 @@ def check_mutex_guard_coverage(
 
 
 # --------------------------------------------------------------------------
+# Rule: orphan-module
+# --------------------------------------------------------------------------
+
+
+def check_orphan_module(
+    src: SourceFile, all_sources: list[SourceFile]
+) -> list[Finding]:
+    if not src.rel.startswith("src/") or not src.rel.endswith((".hpp", ".h")):
+        return []
+    own_cpp = posixpath.splitext(src.rel)[0] + ".cpp"
+    for other in all_sources:
+        if other.rel in (src.rel, own_cpp) or not in_dirs(other.rel, INCLUDER_DIRS):
+            continue
+        if src.rel in other.includes:
+            return []
+    return [
+        Finding(
+            src.path,
+            1,
+            "orphan-module",
+            f"{src.rel} has no includer in src/ (besides its own .cpp), "
+            "tools/, bench/, examples/ or perfbench/; nothing ships it, so "
+            "delete it with the tests that only exercise it",
+        )
+    ]
+
+
+# --------------------------------------------------------------------------
 # Driver
 # --------------------------------------------------------------------------
 
@@ -693,12 +750,16 @@ RULES: dict[str, tuple[str, RuleFn]] = {
         "common::Mutex header member with no thread-safety annotation",
         check_mutex_guard_coverage,
     ),
+    "orphan-module": (
+        "src/ header with no includer outside tests/ and its own .cpp",
+        check_orphan_module,
+    ),
 }
 
 
-def discover(root: Path) -> list[Path]:
+def cpp_files(root: Path, tops: Iterable[str]) -> list[Path]:
     files = []
-    for top in ("src",):
+    for top in tops:
         base = root / top
         if base.is_dir():
             files.extend(
@@ -707,19 +768,22 @@ def discover(root: Path) -> list[Path]:
     return files
 
 
+def discover(root: Path) -> list[Path]:
+    return cpp_files(root, ("src",))
+
+
 def lint(root: Path, paths: list[Path]) -> list[Finding]:
     sources = [load_source(root, p) for p in paths]
-    # backend-registration needs registry.cpp context even when linting a
-    # subset of files.
-    if not any(s.rel == REGISTRY_SOURCE for s in sources):
-        registry_path = root / REGISTRY_SOURCE
-        if registry_path.is_file():
-            sources.append(load_source(root, registry_path))
-            context_only = {sources[-1].rel}
-        else:
-            context_only = set()
-    else:
-        context_only = set()
+    # backend-registration needs registry.cpp and orphan-module needs every
+    # includer tree, even when linting a subset of files. These context
+    # files are read but not linted.
+    loaded = {s.rel for s in sources}
+    context_only = set()
+    for path in cpp_files(root, INCLUDER_DIRS):
+        rel = path.relative_to(root).as_posix()
+        if rel not in loaded:
+            sources.append(load_source(root, path))
+            context_only.add(rel)
 
     findings: list[Finding] = []
     for src in sources:

@@ -37,7 +37,19 @@ class FakeTree:
         self._tmp.cleanup()
 
 
-def run(files: dict[str, str]) -> list[li.Finding]:
+def run(files: dict[str, str], *, include_headers: bool = True) -> list[li.Finding]:
+    """Lints a fixture tree.
+
+    By default a tools/ file includes every src/ header of the fixture, so a
+    header seeded for another rule is not also an orphan-module finding.
+    """
+    if include_headers:
+        files = dict(files)
+        files["tools/includes_fixture.cpp"] = "".join(
+            f'#include "{rel.removeprefix("src/")}"\n'
+            for rel in files
+            if rel.startswith("src/") and rel.endswith(".hpp")
+        )
     tree = FakeTree(files)
     try:
         return tree.lint()
@@ -639,6 +651,90 @@ class MutexGuardCoverageTest(unittest.TestCase):
         self.assertIn("b_", findings[0].message)
 
 
+class OrphanModuleTest(unittest.TestCase):
+    HEADER = "#pragma once\nint widget();\n"
+
+    def test_header_without_includer_caught(self) -> None:
+        findings = run({"src/sim/widget.hpp": self.HEADER}, include_headers=False)
+        self.assertEqual(rules_of(findings), ["orphan-module"])
+        self.assertEqual(findings[0].line, 1)
+        self.assertIn("src/sim/widget.hpp", findings[0].message)
+
+    def test_test_only_includer_caught(self) -> None:
+        files = {
+            "src/sim/widget.hpp": self.HEADER,
+            "tests/widget_test.cpp": '#include "sim/widget.hpp"\n',
+        }
+        findings = run(files, include_headers=False)
+        self.assertEqual(rules_of(findings), ["orphan-module"])
+
+    def test_own_cpp_includer_caught(self) -> None:
+        files = {
+            "src/sim/widget.hpp": self.HEADER,
+            "src/sim/widget.cpp": (
+                '#include "sim/widget.hpp"\nint widget() { return 1; }\n'
+            ),
+        }
+        findings = run(files, include_headers=False)
+        self.assertEqual(rules_of(findings), ["orphan-module"])
+        self.assertEqual(findings[0].path.name, "widget.hpp")
+
+    def test_commented_out_includer_caught(self) -> None:
+        files = {
+            "src/sim/widget.hpp": self.HEADER,
+            "tools/cli.cpp": (
+                '// #include "sim/widget.hpp"\n/*\n#include "sim/widget.hpp"\n*/\n'
+            ),
+        }
+        findings = run(files, include_headers=False)
+        self.assertEqual(rules_of(findings), ["orphan-module"])
+
+    def test_bench_includer_clean(self) -> None:
+        files = {
+            "src/sim/widget.hpp": self.HEADER,
+            "bench/bench_widget.cpp": '#include "sim/widget.hpp"\n',
+        }
+        self.assertEqual(run(files, include_headers=False), [])
+
+    def test_perfbench_includer_clean(self) -> None:
+        files = {
+            "src/sim/widget.hpp": self.HEADER,
+            "perfbench/src/main.cpp": '#include "sim/widget.hpp"\n',
+        }
+        self.assertEqual(run(files, include_headers=False), [])
+
+    def test_other_src_file_includer_clean(self) -> None:
+        files = {
+            "src/sim/widget.hpp": self.HEADER,
+            "src/core/user.cpp": '#include "sim/widget.hpp"\n',
+        }
+        self.assertEqual(run(files, include_headers=False), [])
+
+    def test_waiver_suppresses(self) -> None:
+        files = {
+            "src/sim/widget.hpp": (
+                "// Widget.  // lint-invariants: allow(orphan-module)\n" + self.HEADER
+            ),
+        }
+        self.assertEqual(run(files, include_headers=False), [])
+
+    def test_subset_lint_still_reads_includer_trees(self) -> None:
+        tree = FakeTree(
+            {
+                "src/sim/widget.hpp": self.HEADER,
+                "src/sim/orphan.hpp": self.HEADER,
+                "examples/demo.cpp": '#include "sim/widget.hpp"\n',
+            }
+        )
+        try:
+            paths = [tree.root / "src/sim/widget.hpp", tree.root / "src/sim/orphan.hpp"]
+            findings = li.lint(tree.root, paths)
+            self.assertEqual(rules_of(findings), ["orphan-module"])
+            self.assertEqual(findings[0].path.name, "orphan.hpp")
+        finally:
+            tree.cleanup()
+
+
 class DriverTest(unittest.TestCase):
     def test_list_rules_exits_zero(self) -> None:
         self.assertEqual(li.main(["--list-rules"]), 0)
@@ -659,6 +755,7 @@ class DriverTest(unittest.TestCase):
                 "src/accel/orphan.hpp": (
                     "class OrphanBackend : public RenderBackend {};\n"
                 ),
+                "tools/cli.cpp": '#include "accel/orphan.hpp"\n',
             }
         )
         try:
